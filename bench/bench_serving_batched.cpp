@@ -233,16 +233,13 @@ run(bool smoke)
     // --- Untimed warm-up + solo golden hashes: a serial inline run
     // per job seeds the hint cache and records the bit pattern every
     // engine run must reproduce.
-    ExecutionPolicy serialPolicy;
-    serialPolicy.scheduler = SchedulerKind::kSerial;
     std::vector<uint64_t> golden(kJobs);
     {
         InlineParallelScope inlineScope;
         OpGraphExecutor exec(model, &bgv);
         for (size_t i = 0; i < kJobs; ++i)
             golden[i] =
-                outputsHash(exec.execute(makeRequest(i).inputs,
-                                         serialPolicy));
+                outputsHash(exec.execute(makeRequest(i).inputs));
     }
 
     auto runMode = [&](unsigned workers, size_t maxBatch,
@@ -252,7 +249,6 @@ run(bool smoke)
         for (int rep = 0; rep < reps; ++rep) {
             ServingConfig cfg;
             cfg.workers = workers;
-            cfg.scheduling = SchedulingPolicy::kDeadline;
             cfg.maxBatch = maxBatch;
             cfg.tenantPolicies["gold"] = {2, 20.0, 0};
             cfg.tenantPolicies["bulk"] = {0, 500.0, 0};
@@ -387,7 +383,6 @@ run(bool smoke)
 
         ServingConfig cfg;
         cfg.workers = std::min(2u, hw);
-        cfg.scheduling = SchedulingPolicy::kDeadline;
         cfg.maxBatch = 4;
         cfg.policy.telemetry.profile = true;
         cfg.policy.telemetry.trace = true;

@@ -2,7 +2,7 @@
  * @file
  * Shared helpers for the table/figure reproduction binaries: workload
  * compilation against an F1 configuration and CPU-baseline execution
- * through the reference executor.
+ * through the op-graph executor.
  */
 #ifndef F1_BENCH_BENCH_UTIL_H
 #define F1_BENCH_BENCH_UTIL_H
@@ -13,7 +13,7 @@
 
 #include "common/parallel.h"
 #include "compiler/compiler.h"
-#include "sim/reference_executor.h"
+#include "runtime/op_graph_executor.h"
 #include "workloads/workloads.h"
 
 namespace f1::bench {
@@ -27,7 +27,8 @@ simulate(const Workload &w, const F1Config &cfg,
     return compileProgram(w.program, cfg, opt);
 }
 
-/** Runs the CPU software baseline; returns wall milliseconds. */
+/** Runs the CPU software baseline (default inputs and policy);
+ *  returns the timed execute phase in milliseconds. */
 inline double
 cpuBaselineMs(const Workload &w, const F1Config &cfg = {})
 {
@@ -44,12 +45,10 @@ cpuBaselineMs(const Workload &w, const F1Config &cfg = {})
                                    : KeySwitchVariant::kDigitLxL;
     if (w.scheme == WorkloadScheme::kBgv) {
         BgvScheme scheme(&ctx, 0, variant);
-        ReferenceExecutor exec(w.program, &scheme);
-        return exec.run().wallMs;
+        return OpGraphExecutor(w.program, &scheme).execute().wallMs;
     }
     CkksScheme scheme(&ctx, variant);
-    ReferenceExecutor exec(w.program, &scheme);
-    return exec.run().wallMs;
+    return OpGraphExecutor(w.program, &scheme).execute().wallMs;
 }
 
 inline void

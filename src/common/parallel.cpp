@@ -231,6 +231,12 @@ globalThreadCount()
     return globalPool()->threads();
 }
 
+unsigned
+parallelWidth()
+{
+    return t_inPool ? 1 : globalThreadCount();
+}
+
 void
 setGlobalThreadCount(unsigned n)
 {

@@ -11,9 +11,9 @@
  *
  * Determinism contract: every work unit writes a disjoint output slice
  * and performs exact modular arithmetic, so results are bit-identical
- * to the serial path regardless of thread count or scheduling. The
- * reference executor cross-validates this; tests/test_parallel.cpp
- * asserts it directly.
+ * to the serial path regardless of thread count or scheduling.
+ * tests/test_parallel.cpp asserts it directly, and tests/test_runtime
+ * asserts it for whole programs through the op-graph executor.
  *
  * Thread count resolution (see configuredThreadCount):
  *   1. explicit setGlobalThreadCount() call (bench sweeps, tests),
@@ -91,6 +91,14 @@ unsigned configuredThreadCount();
 unsigned globalThreadCount();
 
 /**
+ * Threads a parallelFor issued from the calling thread can occupy: 1
+ * inside a pool body or an InlineParallelScope (both run inline), the
+ * global pool's size otherwise. Size per-thread state by this, not by
+ * globalThreadCount().
+ */
+unsigned parallelWidth();
+
+/**
  * Resizes the global pool. n = 0 restores the configured default;
  * n = 1 selects the serial fallback. Safe concurrently with in-flight
  * parallelFor calls: each call holds a shared snapshot of the pool it
@@ -110,11 +118,11 @@ void parallelFor(size_t begin, size_t end,
 /**
  * RAII guard that forces parallelFor calls issued from the current
  * thread (and anything it calls) to run inline, in index order, for
- * the guard's lifetime. The serving engine's throughput mode puts one
- * guard on each job worker: with W workers each executing one job
- * single-threaded, concurrency comes entirely from job-level
- * parallelism and jobs never contend for the shared pool. Inline
- * execution is the serial path, so outputs are unchanged.
+ * the guard's lifetime. The serving engine puts one guard on each
+ * job worker: with W workers each executing one batch single-threaded,
+ * concurrency comes entirely from batch-level parallelism and batches
+ * never contend for the shared pool. Inline execution is the serial
+ * path, so outputs are unchanged.
  */
 class InlineParallelScope
 {

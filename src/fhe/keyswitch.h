@@ -85,7 +85,7 @@ struct HintKeyHash
 
 /**
  * Thread-safe cache of generated hints, shared by every consumer of a
- * scheme instance (reference executor, serving engine, benches).
+ * scheme instance (op-graph executor, serving engine, benches).
  * Unbounded by default; the serving layer may cap it, in which case
  * entries are pinned by the shared_ptr accessors while in use.
  */

@@ -8,8 +8,9 @@
  * analogue — one place every hot-path counter in the system reports
  * to, replacing the bespoke stats structs that used to be scattered
  * across ScratchArena, LruCache, OpGraphExecutor, and ServingEngine
- * (their old accessors remain as thin shims over this registry or
- * over instance-local counters that also register here as gauges).
+ * (the ScratchArena and LruCache accessors remain as thin shims over
+ * this registry or over instance-local counters that also register
+ * here as gauges).
  *
  * Cost model (the "zero overhead when off" contract):
  *  - Counter::inc is one relaxed atomic fetch_add — the same cost as

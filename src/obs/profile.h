@@ -10,8 +10,8 @@
  * of job A's key-switch is therefore counted against job A's
  * collector even while job B dispatches concurrently — each pool
  * batch carries its own caller's collector, so per-job counts are
- * exact in both serving modes (inline throughput mode and shared-pool
- * latency mode).
+ * exact whether a job's limb loops run inline (serving workers) or on
+ * the shared pool (direct execute() calls).
  *
  * Cost when off (no collector installed): every hook is one
  * thread-local pointer load and a predictable branch — this file is

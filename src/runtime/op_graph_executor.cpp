@@ -6,7 +6,6 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
-#include <queue>
 #include <sstream>
 #include <thread>
 
@@ -194,20 +193,16 @@ struct OpGraphExecutor::Member
 
 /**
  * Per-traversal state, shared by every member of the batch. The
- * schedulers walk the graph ONCE: dependency counts, consumer counts,
- * and the resident-ciphertext high-water mark are per member (members
- * are structurally identical), and "execute op h" / "release handle
- * d" fan out across members.
+ * scheduler walks the graph ONCE: the resident-ciphertext high-water
+ * mark is per member (members are structurally identical), and
+ * "execute op h" / "release handle d" fan out across members.
  */
 struct OpGraphExecutor::RunState
 {
     std::vector<Member> members;
-    std::vector<int> indeg;
-    std::vector<int> uses;
     size_t resident = 0;     //!< live ciphertexts PER MEMBER
     size_t peakResident = 0; //!< per-member high-water mark
-    size_t wavefronts = 0;
-    size_t maxWavefrontWidth = 0;
+    size_t peakInFlight = 0; //!< most ops running at once
     size_t steals = 0;
     EncodingCache *encCache = nullptr;
 
@@ -224,17 +219,6 @@ struct OpGraphExecutor::RunState
     /** The process-wide live-capture ring (obs/tracectx.h); runOp
      *  mirrors spans into it only while a /tracez window is armed. */
     obs::LiveTraceCapture *live = nullptr;
-
-    void
-    release(int h)
-    {
-        for (Member &m : members)
-            m.cts[h].reset();
-        --resident;
-        if (tracer != nullptr)
-            tracer->instant(obs::TraceEventKind::kRelease, h,
-                            tracer->nowNs());
-    }
 };
 
 OpGraphExecutor::OpGraphExecutor(const Program &prog, BgvScheme *bgv)
@@ -257,7 +241,10 @@ OpGraphExecutor::buildGraph()
     dependents_.assign(n, {});
     indegree_.assign(n, 0);
     consumers_.assign(n, 0);
+    workOps_ = 0;
     for (size_t i = 0; i < n; ++i) {
+        if (!isSource(ops[i]))
+            ++workOps_;
         int deps[2];
         ctOperands(ops[i], deps);
         for (int d : deps) {
@@ -273,29 +260,26 @@ OpGraphExecutor::buildGraph()
         }
     }
 
-    // Kahn's algorithm with ascending-handle selection. Programs from
-    // the builder API are already topologically sorted, so this
-    // reproduces program order exactly (kSerial keeps its historical
-    // semantics); pushRaw programs with forward references get a
-    // valid order; and a cyclic graph is rejected here with the
-    // offending handles named, instead of the executor spinning on a
-    // never-ready op set.
-    topoOrder_.clear();
-    topoOrder_.reserve(n);
+    // Kahn's algorithm, for cycle rejection only: the scheduler walks
+    // dependencies, not program order, so pushRaw programs with
+    // forward references run as they are, and a cyclic graph is
+    // rejected here with the offending handles named, instead of the
+    // executor spinning on a never-ready op set.
     std::vector<int> indeg = indegree_;
-    std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
+    std::vector<int> ready;
     for (size_t i = 0; i < n; ++i)
         if (indeg[i] == 0)
-            ready.push(static_cast<int>(i));
+            ready.push_back(static_cast<int>(i));
+    size_t visited = 0;
     while (!ready.empty()) {
-        const int h = ready.top();
-        ready.pop();
-        topoOrder_.push_back(h);
+        const int h = ready.back();
+        ready.pop_back();
+        ++visited;
         for (int dep : dependents_[h])
             if (--indeg[dep] == 0)
-                ready.push(dep);
+                ready.push_back(dep);
     }
-    if (topoOrder_.size() != n) {
+    if (visited != n) {
         std::ostringstream stuck;
         int listed = 0;
         for (size_t i = 0; i < n; ++i) {
@@ -615,110 +599,6 @@ OpGraphExecutor::runOpAllMembers(int h, RunState &st) const
 }
 
 /**
- * Post-completion bookkeeping for op `h`: unlocks dependents whose
- * operands are now all computed (appended to readyOut) and releases
- * any ciphertext that `h` consumed for the last time. Used by the
- * serial and wavefront schedulers, which run it on the coordinating
- * thread between rounds, so releases never race against in-flight
- * readers; the work-stealing scheduler has its own atomic version.
- */
-void
-OpGraphExecutor::retireOp(int h, RunState &st,
-                          std::vector<int> &readyOut) const
-{
-    for (int dep : dependents_[h]) {
-        if (--st.indeg[dep] == 0)
-            readyOut.push_back(dep);
-    }
-    int deps[2];
-    ctOperands(prog_.ops()[h], deps);
-    for (int d : deps) {
-        if (d >= 0 && --st.uses[d] == 0)
-            st.release(d);
-    }
-    // A result nothing consumes (dead code) is dropped immediately.
-    if (producesCiphertext(prog_.ops()[h]) && st.uses[h] == 0)
-        st.release(h);
-}
-
-void
-OpGraphExecutor::runSerial(RunState &st) const
-{
-    const auto &ops = prog_.ops();
-    std::vector<int> ignored;
-    for (int h : topoOrder_) {
-        const HeOp &op = ops[h];
-        if (isSource(op))
-            continue;
-        runOpAllMembers(h, st);
-        if (producesCiphertext(op))
-            ++st.resident;
-        st.peakResident = std::max(st.peakResident, st.resident);
-        retireOp(h, st, ignored);
-        ++st.wavefronts;
-        st.maxWavefrontWidth = 1;
-    }
-}
-
-void
-OpGraphExecutor::runWavefront(RunState &st,
-                              const ExecutionPolicy &policy) const
-{
-    const auto &ops = prog_.ops();
-    const size_t n = ops.size();
-    const OpPriority prio{policy.scheduleHints};
-    const auto byPriority = [&](int a, int b) {
-        return prio.before(a, b);
-    };
-
-    // Seed the first wavefront by propagating input completions.
-    std::vector<int> ready;
-    for (size_t i = 0; i < n; ++i) {
-        if (!isSource(ops[i]))
-            continue;
-        for (int dep : dependents_[i]) {
-            if (--st.indeg[dep] == 0)
-                ready.push_back(dep);
-        }
-    }
-    std::sort(ready.begin(), ready.end(), byPriority);
-
-    // The parallel grain is (op, member): a round with R ready ops
-    // and B members dispatches R*B bodies, so a wide batch keeps the
-    // pool saturated even on narrow program regions. Index order is
-    // op-major (member minor), so the inline fallback runs each op
-    // across all members back to back — the batching locality the
-    // fused traversal exists for.
-    const size_t B = st.members.size();
-    std::vector<int> next;
-    while (!ready.empty()) {
-        ++st.wavefronts;
-        st.maxWavefrontWidth =
-            std::max(st.maxWavefrontWidth, ready.size());
-        if (ready.size() * B == 1) {
-            runOp(ready[0], st, st.members[0]);
-        } else {
-            parallelFor(0, ready.size() * B, [&](size_t i) {
-                runOp(ready[i / B], st, st.members[i % B]);
-            });
-        }
-        for (int h : ready) {
-            if (producesCiphertext(ops[h]))
-                ++st.resident;
-        }
-        st.peakResident = std::max(st.peakResident, st.resident);
-        next.clear();
-        for (int h : ready)
-            retireOp(h, st, next);
-        // The priority order keeps the within-wavefront claim order
-        // deterministic under F1_THREADS=1 (inline index order);
-        // without hints it is ascending handles, as before.
-        std::sort(next.begin(), next.end(), byPriority);
-        ready.swap(next);
-    }
-}
-
-/**
  * Continuation scheduling: W workers each own a priority deque of
  * ready ops. Completing op `h` atomically decrements its consumers'
  * dependency counts; a consumer reaching zero is pushed onto the
@@ -746,11 +626,13 @@ OpGraphExecutor::runWorkStealing(RunState &st,
         return prio.before(b, a);
     };
 
-    unsigned workers = globalThreadCount();
+    // Sized by the width parallelFor can actually use here: inside an
+    // InlineParallelScope that is 1, so one worker drains the graph in
+    // priority order instead of one thread emptying W deques in turn.
+    unsigned workers = parallelWidth();
     if (policy.threadBudget != 0)
         workers = std::min(workers, policy.threadBudget);
-    workers = std::max(workers, 1u);
-    const size_t W = workers;
+    const size_t W = std::max(workers, 1u);
 
     struct WorkerDeque
     {
@@ -766,16 +648,12 @@ OpGraphExecutor::runWorkStealing(RunState &st,
         uses[i].store(consumers_[i], std::memory_order_relaxed);
     }
 
-    size_t totalWork = 0;
-    for (const HeOp &op : ops)
-        if (!isSource(op))
-            ++totalWork;
-    std::atomic<size_t> remaining{totalWork};
+    std::atomic<size_t> remaining{workOps_};
     std::atomic<size_t> resident{st.resident};
     std::atomic<size_t> peakResident{st.peakResident};
     std::atomic<size_t> steals{0};
-    // Ops concurrently in flight; the peak is WS's analogue of the
-    // wavefront scheduler's maxWavefrontWidth (see ExecutionResult).
+    // Ops concurrently in flight; the peak is reported as
+    // ExecutionResult::maxWavefrontWidth.
     std::atomic<size_t> running{0};
     std::atomic<size_t> peakRunning{0};
     std::atomic<bool> abort{false};
@@ -827,7 +705,7 @@ OpGraphExecutor::runWorkStealing(RunState &st,
                                st.tracer->nowNs());
     };
 
-    // The WS work unit stays one op across ALL members: the op is
+    // The work unit stays one op across ALL members: the op is
     // popped once, its hint/twiddle working set is touched once, and
     // only then do dependents unlock — exactly the amortization the
     // coalescer buys. Member outputs are disjoint, so no member-level
@@ -912,11 +790,9 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     };
 
     // One pool dispatch for the whole run: each claimed index is a
-    // long-lived worker loop. Under InlineParallelScope (or a
-    // one-thread pool) the bodies run inline in index order — worker
-    // 0 drains the whole graph in strict priority order, the rest
-    // find no work — so the serial fallback is exact and
-    // deterministic.
+    // long-lived worker loop. With W = 1 the single worker runs on the
+    // calling thread and drains the whole graph in strict priority
+    // order, so the serial walk is exact and deterministic.
     parallelFor(0, W, worker);
     if (firstError)
         std::rethrow_exception(firstError);
@@ -924,8 +800,7 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     st.resident = resident.load(std::memory_order_relaxed);
     st.peakResident = peakResident.load(std::memory_order_relaxed);
     st.steals = steals.load(std::memory_order_relaxed);
-    st.maxWavefrontWidth =
-        peakRunning.load(std::memory_order_relaxed);
+    st.peakInFlight = peakRunning.load(std::memory_order_relaxed);
 }
 
 ExecutionResult
@@ -963,8 +838,6 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
         m.traceId = inputs[b].traceId;
         m.memberIndex = uint32_t(b);
     }
-    st.indeg = indegree_;
-    st.uses = consumers_;
     st.encCache = policy.encodingCache;
     st.hints = policy.scheduleHints;
     st.live = &obs::LiveTraceCapture::global();
@@ -986,11 +859,6 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
             policy.telemetry.label);
     st.collector = collector.get();
     st.tracer = tracer.get();
-
-    size_t totalWork = 0;
-    for (const HeOp &op : ops)
-        if (!isSource(op))
-            ++totalWork;
 
     // Prepare members serially, each from its own Rng(seed): member
     // i's prepared state is byte-for-byte what a solo run would build.
@@ -1021,17 +889,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
             // The calibration origin: measured op starts are relative
             // to the moment the traversal begins (tracer clock).
             st.executeEpochNs = st.tracer ? st.tracer->nowNs() : 0;
-            switch (policy.scheduler) {
-              case SchedulerKind::kSerial:
-                runSerial(st);
-                break;
-              case SchedulerKind::kWavefront:
-                runWavefront(st, policy);
-                break;
-              case SchedulerKind::kWorkStealing:
-                runWorkStealing(st, policy);
-                break;
-            }
+            runWorkStealing(st, policy);
         }
         wallMs = steadyNowMs() - t0;
     } catch (...) {
@@ -1089,11 +947,10 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
         ExecutionResult &r = results[b];
         Member &m = st.members[b];
         r.wallMs = wallMs;
-        r.opsExecuted = totalWork;
+        r.opsExecuted = workOps_;
         r.batchSize = B;
         r.peakResidentCiphertexts = st.peakResident;
-        r.wavefronts = st.wavefronts;
-        r.maxWavefrontWidth = st.maxWavefrontWidth;
+        r.maxWavefrontWidth = st.peakInFlight;
         r.steals = st.steals;
         r.encodingCacheHits = m.encodingCacheHits;
         r.encodingCacheMisses = m.encodingCacheMisses;
@@ -1113,7 +970,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     // ops actually executed" whether jobs batched or not.
     ExecutorMetrics &em = ExecutorMetrics::get();
     em.runs.inc(B);
-    em.ops.inc(totalWork * B);
+    em.ops.inc(workOps_ * B);
     em.steals.inc(st.steals);
     em.executeMs.observe(wallMs);
 

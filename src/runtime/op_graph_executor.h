@@ -11,29 +11,29 @@
  * the two levels compose without nesting deadlocks: wide op-level
  * parallelism narrows gracefully into per-limb parallelism.
  *
- * Three schedulers (ExecutionPolicy::scheduler):
- *  - kSerial: one op at a time in deterministic topological (program)
- *    order — the debugging/baseline mode.
- *  - kWavefront: rounds of all-ready ops with a barrier between
- *    rounds. Simple, but imbalanced rounds leave threads idle at the
- *    barrier.
- *  - kWorkStealing: continuation scheduling. Each completed op
- *    decrements its consumers' dependency counts and enqueues
- *    newly-ready ops on the completing worker's deque; idle workers
- *    steal. No thread ever waits at a round barrier. When
- *    ExecutionPolicy::scheduleHints carries the compiler's static
- *    schedule, ready ops are prioritized critical-path-first
- *    (cycle-scheduler issue order) with memory-scheduler liveness
- *    rank as the tie-break — F1's §4.4 static schedule driving
- *    dynamic execution.
+ * One scheduler, continuation scheduling (work stealing): each
+ * completed op decrements its consumers' dependency counts and
+ * enqueues newly-ready ops on the completing worker's deque; idle
+ * workers steal. No thread ever waits at a round barrier. When
+ * ExecutionPolicy::scheduleHints carries the compiler's static
+ * schedule, ready ops are prioritized critical-path-first
+ * (cycle-scheduler issue order) with memory-scheduler liveness rank
+ * as the tie-break — F1's §4.4 static schedule driving dynamic
+ * execution. Without hints the priority is ascending handle.
  *
- * Determinism contract (unchanged across schedulers): every
- * homomorphic op is a pure function of its operands (hint randomness
- * is derived per identity — see hintSeed — and encryption randomness
- * comes from a per-run Rng consumed in program order during the
- * serial prepare phase), so outputs are bit-identical for any
- * scheduler, thread count, schedule hints, and concurrent-job
- * interleaving. tests/test_runtime.cpp asserts this.
+ * The serial walk is the same scheduler with one worker:
+ * threadBudget = 1, a one-thread pool, or an InlineParallelScope runs
+ * one op at a time in priority order (program order for builder
+ * programs without hints). Under threadBudget = 1 on a wider pool the
+ * limb loops inside each op still use the pool.
+ *
+ * Determinism contract: every homomorphic op is a pure function of
+ * its operands (hint randomness is derived per identity — see
+ * hintSeed — and encryption randomness comes from a per-run Rng
+ * consumed in program order during the serial prepare phase), so
+ * outputs are bit-identical for any thread count, threadBudget,
+ * schedule hints, and concurrent-job interleaving.
+ * tests/test_runtime.cpp asserts this.
  *
  * Liveness: the executor counts the consumers of every ciphertext
  * handle and releases each ciphertext after its last consumer
@@ -61,20 +61,6 @@
 #include "obs/telemetry.h"
 
 namespace f1 {
-
-/** How the executor walks the op graph. */
-enum class SchedulerKind : uint8_t {
-    kSerial,       //!< topological program order, one op at a time
-    kWavefront,    //!< ready wavefronts with a barrier per round
-    kWorkStealing, //!< continuation scheduling on per-worker deques
-};
-
-/**
- * Deprecated: historical name for SchedulerKind, kept so pre-policy
- * call sites (setDispatchMode) compile unchanged. New code should
- * spell SchedulerKind and pass it through ExecutionPolicy.
- */
-using DispatchMode = SchedulerKind;
 
 /**
  * Slot data bound to one input handle. The alternative encodes the
@@ -124,23 +110,16 @@ struct RuntimeInputs
 };
 
 /**
- * Per-run results and scheduler statistics. The stats fields are
- * populated consistently by ALL three schedulers:
- *  - opsExecuted / peakResidentCiphertexts / encodingCache*: always.
- *  - wavefronts / maxWavefrontWidth: kSerial reports (opsExecuted, 1);
- *    kWavefront reports its dispatch rounds and widest round;
- *    kWorkStealing reports 0 rounds (it has none) and the peak number
- *    of ops concurrently in flight as the width.
- *  - steals: nonzero only under kWorkStealing; 0 elsewhere.
+ * Per-run results and scheduler statistics.
  *
  * Batched execution (executeBatch) returns one ExecutionResult per
  * batch member. outputs / encodingCache{Hits,Misses} / opsExecuted /
  * peakResidentCiphertexts are per member (identical to what a solo
  * run of that member reports, ciphertext-count-wise, because every
- * member walks the same graph); wallMs / wavefronts /
- * maxWavefrontWidth / steals describe the one shared traversal and
- * repeat across members; profile and trace, when enabled, are
- * collected once for the whole batch and shared by every member.
+ * member walks the same graph); wallMs / maxWavefrontWidth / steals
+ * describe the one shared traversal and repeat across members;
+ * profile and trace, when enabled, are collected once for the whole
+ * batch and shared by every member.
  */
 struct ExecutionResult
 {
@@ -160,9 +139,8 @@ struct ExecutionResult
      *  counted). A batch holds batchSize times this many. */
     size_t peakResidentCiphertexts = 0;
 
-    size_t wavefronts = 0;        //!< dispatch rounds (0 under WS)
-    size_t maxWavefrontWidth = 0; //!< widest concurrent op set
-    size_t steals = 0; //!< ops taken from another worker's deque (WS)
+    size_t maxWavefrontWidth = 0; //!< peak ops in flight
+    size_t steals = 0; //!< ops taken from another worker's deque
 
     /** Plaintext-encoding cache traffic attributable to this run. */
     uint64_t encodingCacheHits = 0;
@@ -223,16 +201,15 @@ using EncodingCache =
  *
  * scheduleHints must describe the same program the executor was built
  * for (size checked at execute()); nullptr runs hint-free with
- * ascending-handle priority, which preserves the historical order.
- * threadBudget caps the worker count of the work-stealing scheduler
- * (0 = the whole pool); kSerial/kWavefront ignore it. encodingCache
- * nullptr means encode per run. telemetry turns on per-op tracing
- * and/or a per-run ExecutionProfile (both off by default; disabled
- * runs pay only thread-local null checks — see obs/telemetry.h).
+ * ascending-handle priority. threadBudget caps the scheduler's worker
+ * count (0 = parallelWidth(), i.e. the whole pool outside an
+ * InlineParallelScope); 1 is the serial walk. encodingCache nullptr
+ * means encode per run. telemetry turns on per-op tracing and/or a
+ * per-run ExecutionProfile (both off by default; disabled runs pay
+ * only thread-local null checks — see obs/telemetry.h).
  */
 struct ExecutionPolicy
 {
-    SchedulerKind scheduler = SchedulerKind::kWorkStealing;
     const ScheduleHints *scheduleHints = nullptr;
     unsigned threadBudget = 0;
     EncodingCache *encodingCache = nullptr;
@@ -241,8 +218,8 @@ struct ExecutionPolicy
 
 /**
  * Executes one Program against a scheme backend. The graph analysis
- * (dependents, in-degrees, consumer counts, topological order, cycle
- * rejection) happens once at construction; execute() is re-entrant
+ * (dependents, in-degrees, consumer counts, cycle rejection) happens
+ * once at construction; execute() is re-entrant
  * and holds all per-run state on the stack, so distinct jobs over the
  * same program may share one executor or build their own — both are
  * safe concurrently.
@@ -277,33 +254,6 @@ class OpGraphExecutor
     executeBatch(std::span<const RuntimeInputs> inputs,
                  const ExecutionPolicy &policy = {}) const;
 
-    //
-    // Deprecated pre-policy shims. They fold into a stored
-    // ExecutionPolicy that run() forwards to execute(); the stored
-    // default keeps the historical kWavefront dispatch. New code
-    // should call execute() directly.
-    //
-
-    /** Deprecated: use ExecutionPolicy::scheduler. */
-    void setDispatchMode(DispatchMode mode)
-    {
-        shimPolicy_.scheduler = mode;
-    }
-    /** Deprecated: reads the shim policy, not a live execution. */
-    DispatchMode dispatchMode() const { return shimPolicy_.scheduler; }
-
-    /** Deprecated: use ExecutionPolicy::encodingCache. */
-    void setEncodingCache(EncodingCache *cache)
-    {
-        shimPolicy_.encodingCache = cache;
-    }
-
-    /** Deprecated: execute() under the shim policy. */
-    ExecutionResult run(const RuntimeInputs &in = {}) const
-    {
-        return execute(in, shimPolicy_);
-    }
-
   private:
     struct RunState;
     struct Member;
@@ -322,11 +272,6 @@ class OpGraphExecutor
     //! executeOp + telemetry
     void runOp(int h, RunState &st, Member &m) const;
     void runOpAllMembers(int h, RunState &st) const;
-    void retireOp(int h, RunState &st,
-                  std::vector<int> &readyOut) const;
-    void runSerial(RunState &st) const;
-    void runWavefront(RunState &st,
-                      const ExecutionPolicy &policy) const;
     void runWorkStealing(RunState &st,
                          const ExecutionPolicy &policy) const;
 
@@ -334,14 +279,12 @@ class OpGraphExecutor
     uint64_t fp_ = 0; //!< prog_.fingerprint(), cached for event hooks
     BgvScheme *bgv_ = nullptr;
     CkksScheme *ckks_ = nullptr;
-    ExecutionPolicy shimPolicy_{SchedulerKind::kWavefront, nullptr, 0,
-                                nullptr};
 
     // Graph structure, fixed per program.
     std::vector<std::vector<int>> dependents_; //!< ct-edge successors
     std::vector<int> indegree_;  //!< ct-operand count per op
     std::vector<int> consumers_; //!< ct uses of each op's result
-    std::vector<int> topoOrder_; //!< ascending-handle Kahn order
+    size_t workOps_ = 0;         //!< non-source ops, run per member
 };
 
 } // namespace f1

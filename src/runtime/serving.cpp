@@ -193,7 +193,7 @@ ServingEngine::~ServingEngine()
         w.join();
     // Teardown-with-failures: leave the post-mortem on disk even if
     // nobody inspected the per-failure dumps while serving.
-    if (!cfg_.eventDumpPath.empty() && stats_.failed > 0)
+    if (!cfg_.eventDumpPath.empty() && anyFailed_)
         obs::FlightRecorder::global().dumpToFile(cfg_.eventDumpPath);
 }
 
@@ -247,7 +247,6 @@ ServingEngine::submit(JobRequest req)
                 admission_.decide(*snap, req.tenant, tp, depth);
             if (!d.admit) {
                 ServingMetrics::get().shed.inc();
-                ++stats_.shed;
                 rec.record(obs::ServingEventKind::kShed, 0,
                            req.tenant, fp, 0, traceId);
                 throw AdmissionRejected("job shed for tenant \"" +
@@ -275,13 +274,10 @@ ServingEngine::submit(JobRequest req)
         const std::string &tenant = it->first;
         it->second.push_back(std::move(job));
         ++pending_;
-        ++stats_.submitted;
         ServingMetrics::get().submitted.inc();
-        stats_.peakQueueDepth =
-            std::max(stats_.peakQueueDepth, pending_);
         depthNow_.store(pending_, std::memory_order_relaxed);
-        depthPeak_.store(stats_.peakQueueDepth,
-                         std::memory_order_relaxed);
+        if (pending_ > depthPeak_.load(std::memory_order_relaxed))
+            depthPeak_.store(pending_, std::memory_order_relaxed);
         rec.record(obs::ServingEventKind::kAdmit, jobId, tenant, fp,
                    0, traceId);
     }
@@ -293,71 +289,56 @@ bool
 ServingEngine::popBatch(std::vector<Job> &out)
 {
     // Called with m_ held. Stage 2 of the pipeline: pick the dispatch
-    // head under the configured policy, then coalesce.
+    // head, then coalesce. A tenant's class is fixed and its queue is
+    // FIFO, so each queue's front is that tenant's most urgent job —
+    // scanning fronts finds the global (priority, EDF) head.
     const size_t n = tenantOrder_.size();
     size_t leadIdx = n;
-    if (cfg_.scheduling == SchedulingPolicy::kRoundRobin) {
-        // Scan tenants round-robin from the cursor; the cursor
-        // advances past the tenant served, so a tenant with a deep
-        // queue yields to every other tenant between its jobs.
-        for (size_t k = 0; k < n; ++k) {
-            const size_t idx = (rrCursor_ + k) % n;
-            if (!queues_[tenantOrder_[idx]].empty()) {
-                leadIdx = idx;
-                rrCursor_ = (idx + 1) % n;
-                break;
-            }
+
+    // Burn-rate penalty (the scheduling tier BELOW admission shedding):
+    // a tenant at/over half the configured shed threshold
+    // (AdmissionLimits::maxBurnRate) is already deep into its error
+    // budget, so its jobs lose to EVERY unpenalized tenant's regardless
+    // of class priority — the budget-burner yields the datapath before
+    // admission has to start rejecting it outright. Among
+    // equally-penalized (or equally-clean) fronts the normal
+    // priority/EDF/id order holds. Disabled when maxBurnRate is 0 (no
+    // SLO shedding configured means no SLO scheduling either).
+    // slo_.burnRate takes the tracker mutex under m_; safe — see
+    // obs/slo.h.
+    const double maxBurn = cfg_.admission.maxBurnRate;
+    const Job *best = nullptr;
+    bool bestPenalized = false;
+    bool sawPenalized = false;
+    for (size_t idx = 0; idx < n; ++idx) {
+        auto &q = queues_[tenantOrder_[idx]];
+        if (q.empty())
+            continue;
+        const Job &c = q.front();
+        const bool penalized =
+            maxBurn > 0 &&
+            slo_.burnRate(tenantOrder_[idx]) >= 0.5 * maxBurn;
+        sawPenalized |= penalized;
+        bool wins;
+        if (best == nullptr) {
+            wins = true;
+        } else if (penalized != bestPenalized) {
+            wins = !penalized;
+        } else {
+            wins = c.priority > best->priority ||
+                   (c.priority == best->priority &&
+                    (c.deadlineAtMs < best->deadlineAtMs ||
+                     (c.deadlineAtMs == best->deadlineAtMs &&
+                      c.id < best->id)));
         }
-    } else {
-        // kDeadline: a tenant's class is fixed and its queue is FIFO,
-        // so each queue's front is that tenant's most urgent job —
-        // scanning fronts finds the global (priority, EDF) head.
-        //
-        // Burn-rate penalty (the scheduling tier BELOW admission
-        // shedding): a tenant at/over half the configured shed
-        // threshold (AdmissionLimits::maxBurnRate) is already deep
-        // into its error budget, so its jobs lose to EVERY
-        // unpenalized tenant's regardless of class priority — the
-        // budget-burner yields the datapath before admission has to
-        // start rejecting it outright. Among equally-penalized (or
-        // equally-clean) fronts the normal priority/EDF/id order
-        // holds. Disabled when maxBurnRate is 0 (no SLO shedding
-        // configured means no SLO scheduling either). slo_.burnRate
-        // takes the tracker mutex under m_; safe — see obs/slo.h.
-        const double maxBurn = cfg_.admission.maxBurnRate;
-        const Job *best = nullptr;
-        bool bestPenalized = false;
-        bool sawPenalized = false;
-        for (size_t idx = 0; idx < n; ++idx) {
-            auto &q = queues_[tenantOrder_[idx]];
-            if (q.empty())
-                continue;
-            const Job &c = q.front();
-            const bool penalized =
-                maxBurn > 0 &&
-                slo_.burnRate(tenantOrder_[idx]) >= 0.5 * maxBurn;
-            sawPenalized |= penalized;
-            bool wins;
-            if (best == nullptr) {
-                wins = true;
-            } else if (penalized != bestPenalized) {
-                wins = !penalized;
-            } else {
-                wins = c.priority > best->priority ||
-                       (c.priority == best->priority &&
-                        (c.deadlineAtMs < best->deadlineAtMs ||
-                         (c.deadlineAtMs == best->deadlineAtMs &&
-                          c.id < best->id)));
-            }
-            if (wins) {
-                best = &c;
-                bestPenalized = penalized;
-                leadIdx = idx;
-            }
+        if (wins) {
+            best = &c;
+            bestPenalized = penalized;
+            leadIdx = idx;
         }
-        if (sawPenalized && best != nullptr && !bestPenalized)
-            ServingMetrics::get().dispatchPenalties.inc();
     }
+    if (sawPenalized && best != nullptr && !bestPenalized)
+        ServingMetrics::get().dispatchPenalties.inc();
     if (leadIdx == n)
         return false;
 
@@ -443,7 +424,7 @@ ServingEngine::runBatch(std::vector<Job> &batch)
         failed = true;
         error = std::current_exception();
         // Promises are fulfilled below, AFTER the flight-recorder /
-        // SLO / stats bookkeeping: a waiter that observes the
+        // SLO / registry bookkeeping: a waiter that observes the
         // exception must also observe the failure's post-mortem.
     }
 
@@ -480,20 +461,6 @@ ServingEngine::runBatch(std::vector<Job> &batch)
     // and its contract is that every accepted future is ready by
     // then; fulfilling after the decrement would let drain() (and
     // the destructor behind it) race ahead of waiters' futures.
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        if (failed) {
-            stats_.failed += batch.size();
-        } else {
-            for (const JobResult &r : results) {
-                ++stats_.completed;
-                ++stats_.completedPerTenant[r.tenant];
-                stats_.encodingCacheHits += r.exec.encodingCacheHits;
-                stats_.encodingCacheMisses +=
-                    r.exec.encodingCacheMisses;
-            }
-        }
-    }
     if (failed) {
         for (Job &j : batch)
             j.promise.set_exception(error);
@@ -503,6 +470,7 @@ ServingEngine::runBatch(std::vector<Job> &batch)
     }
     {
         std::lock_guard<std::mutex> lock(m_);
+        anyFailed_ |= failed;
         inFlight_ -= batch.size();
         if (pending_ == 0 && inFlight_ == 0)
             cvDrained_.notify_all();
@@ -526,12 +494,8 @@ ServingEngine::workerLoop()
             inFlight_ += batch.size();
         }
 
-        if (cfg_.inlineIntraOp) {
-            InlineParallelScope inlineScope;
-            runBatch(batch);
-        } else {
-            runBatch(batch);
-        }
+        InlineParallelScope inlineScope;
+        runBatch(batch);
     }
 }
 
@@ -541,13 +505,6 @@ ServingEngine::drain()
     std::unique_lock<std::mutex> lock(m_);
     cvDrained_.wait(lock,
                     [&] { return pending_ == 0 && inFlight_ == 0; });
-}
-
-ServingStats
-ServingEngine::stats() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return stats_;
 }
 
 } // namespace f1

@@ -14,9 +14,8 @@
  *     queue stamped with the tenant class's priority and deadline.
  *
  *  2. COALESCE — a dispatching worker picks the most urgent queued
- *     job (SchedulingPolicy::kDeadline: highest tenant priority, then
- *     earliest deadline; kRoundRobin preserves the historical
- *     per-tenant round-robin), then pulls up to maxBatch - 1 more
+ *     job (highest tenant priority, then earliest deadline, then
+ *     submit order), then pulls up to maxBatch - 1 more
  *     queued jobs whose Program has the same content-addressed
  *     fingerprint — from any tenant, any queue position — into one
  *     batch. Identical-program jobs are the common serving case (many
@@ -26,10 +25,10 @@
  *  3. EXECUTE — the batch runs through
  *     OpGraphExecutor::executeBatch, which executes each HeOp across
  *     every batch member before releasing operands; per-op overhead
- *     amortizes over the batch. In the default throughput mode each
- *     worker executes its batch single-threaded
- *     (InlineParallelScope), so concurrency comes from batch-level
- *     parallelism and batches never contend for the shared pool.
+ *     amortizes over the batch. Each worker executes its batch
+ *     single-threaded (InlineParallelScope), so concurrency comes from
+ *     batch-level parallelism and batches never contend for the
+ *     shared pool.
  *
  * Caches: a shared LRU over plaintext encodings (content-addressed
  * for BOTH schemes, see EncodingKey) and the scheme's synchronized
@@ -38,10 +37,9 @@
  *
  * Determinism: job outputs are a pure function of (program, inputs,
  * seed) — independent of worker count, queue interleaving, other
- * tenants' traffic, the scheduling policy, and whether the job ran
- * solo or fused into a batch (tests/test_runtime.cpp asserts
- * bit-identity against isolated execution for both schemes and both
- * policies).
+ * tenants' traffic, and whether the job ran solo or fused into a
+ * batch (tests/test_runtime.cpp asserts bit-identity against isolated
+ * execution for both schemes across worker counts).
  *
  * Introspection: every stage transition above is recorded into the
  * process-wide flight recorder (obs/eventlog.h — submit/admit/shed/
@@ -50,7 +48,10 @@
  * per-tenant SloTracker (obs/slo.h — deadline attainment and
  * burn rate vs TenantPolicy::deadlineMs, published as slo.<tenant>.*
  * so AdmissionLimits::maxBurnRate can shed on it), and an exporter
- * (obs/exporter.h) can serve all of it to a scraper.
+ * (obs/exporter.h) can serve all of it to a scraper. Engine totals
+ * live in the metrics registry only: serving.jobs_*,
+ * serving.shed_jobs, serving.queue_depth{,_peak}, and
+ * cache.serving_encoding.*.
  */
 #ifndef F1_RUNTIME_SERVING_H
 #define F1_RUNTIME_SERVING_H
@@ -72,24 +73,13 @@
 
 namespace f1 {
 
-/** Dispatch order over queued jobs. */
-enum class SchedulingPolicy : uint8_t {
-    /** Tenant classes: highest priority first, earliest deadline
-     *  within a class (EDF), submit order as the final tie-break. */
-    kDeadline,
-    /** Historical compatibility mode: one job per tenant in
-     *  first-seen tenant order, FIFO within a tenant. Priorities and
-     *  deadlines still stamp JobResult but do not affect order. */
-    kRoundRobin,
-};
-
 /**
  * One tenant class's scheduling contract. Tenants not named in
  * ServingConfig::tenantPolicies get ServingConfig::defaultTenantPolicy.
  */
 struct TenantPolicy
 {
-    /** Dispatch priority under kDeadline; higher runs first. */
+    /** Dispatch priority; higher runs first. */
     int priority = 0;
 
     /** Soft deadline, milliseconds after submit. Orders dispatch
@@ -172,24 +162,10 @@ class AdmissionController
                     const TenantPolicy &tenant,
                     size_t tenantQueueDepth) const;
 
-    /** Decision from MetricsRegistry::global().snapshot() (what the
-     *  engine calls on every submit). */
+    /** Decision from MetricsRegistry::global().snapshot(). */
     Decision decide(const std::string &tenantName,
                     const TenantPolicy &tenant,
                     size_t tenantQueueDepth) const;
-
-    /** Name-free compatibility overloads (burn-rate check skipped). */
-    Decision
-    decide(const obs::MetricsSnapshot &snap, const TenantPolicy &tenant,
-           size_t tenantQueueDepth) const
-    {
-        return decide(snap, std::string(), tenant, tenantQueueDepth);
-    }
-    Decision
-    decide(const TenantPolicy &tenant, size_t tenantQueueDepth) const
-    {
-        return decide(std::string(), tenant, tenantQueueDepth);
-    }
 
     const AdmissionLimits &limits() const { return limits_; }
 
@@ -204,16 +180,6 @@ struct ServingConfig
 
     /** Entries in the shared plaintext-encoding cache. */
     size_t encodingCacheCapacity = 1024;
-
-    /**
-     * true (throughput mode): each worker runs its batch
-     * single-threaded. false (latency mode): batches use the shared
-     * pool for op/limb parallelism and contend with each other.
-     */
-    bool inlineIntraOp = true;
-
-    /** Dispatch order over queued jobs (stage 2 of the pipeline). */
-    SchedulingPolicy scheduling = SchedulingPolicy::kDeadline;
 
     /** Identical-program jobs fused per execution (1 = no batching).
      *  Fusion never changes job outputs, only amortizes overhead. */
@@ -279,26 +245,6 @@ struct JobResult
     uint64_t traceId = 0;
 };
 
-/**
- * Per-engine counters. Deprecated as an aggregation point: the same
- * totals (fleet-wide, across engines) live in the metrics registry as
- * "serving.jobs_*" / "serving.shed_jobs" counters,
- * "serving.{queue,service}_ms" / "serving.batch_size" histograms, and
- * "serving.queue_depth{,_peak}" gauges — prefer
- * MetricsRegistry::global().snapshot().
- */
-struct ServingStats
-{
-    uint64_t submitted = 0;
-    uint64_t completed = 0;
-    uint64_t failed = 0;
-    uint64_t shed = 0;
-    size_t peakQueueDepth = 0;
-    uint64_t encodingCacheHits = 0;
-    uint64_t encodingCacheMisses = 0;
-    std::map<std::string, uint64_t> completedPerTenant;
-};
-
 class ServingEngine
 {
   public:
@@ -347,13 +293,6 @@ class ServingEngine
      *  /tenants.json source when an exporter is pointed at it. */
     const obs::SloTracker &slo() const { return slo_; }
 
-    /** Deprecated shim (see ServingStats): per-engine snapshot. */
-    ServingStats stats() const;
-
-    /** Deprecated shim: per-engine encoding-cache counters; the
-     *  registry aggregates them as "cache.serving_encoding.*". */
-    CacheStats encodingCacheStats() const { return encCache_.stats(); }
-
   private:
     struct Job
     {
@@ -385,7 +324,7 @@ class ServingEngine
     //! obs/slo.h on lock ordering).
     obs::SloTracker slo_;
 
-    mutable std::mutex m_;
+    std::mutex m_;
     std::condition_variable cvWork_;
     std::condition_variable cvDrained_;
     bool accepting_ = true;
@@ -395,11 +334,10 @@ class ServingEngine
     size_t inFlight_ = 0; //!< picked up, not yet completed
     std::map<std::string, std::deque<Job>> queues_;
     std::vector<std::string> tenantOrder_; //!< first-seen order
-    size_t rrCursor_ = 0;
-    ServingStats stats_;
+    bool anyFailed_ = false; //!< dump the flight recorder at teardown
 
-    //! Lock-free mirrors of pending_ / peakQueueDepth so the
-    //! queue-depth gauges never take m_ inside a registry snapshot.
+    //! Lock-free mirrors of pending_ and its peak, written under m_,
+    //! so the queue-depth gauges never take m_ inside a snapshot.
     std::atomic<size_t> depthNow_{0};
     std::atomic<size_t> depthPeak_{0};
 

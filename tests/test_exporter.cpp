@@ -301,13 +301,13 @@ TEST(AdmissionBurnRateTest, ShedsOnSloBurnRateMetric)
     EXPECT_TRUE(contains(hot.reason, "burn"));
     EXPECT_TRUE(contains(hot.reason, "slo.bob.burn_rate"));
 
-    // Below threshold, an unknown tenant, or a name-free decision
-    // (compat overload) all admit.
+    // Below threshold, an unknown tenant, or an empty tenant name
+    // (the burn-rate check is skipped) all admit.
     snap.counters["slo.bob.burn_rate"] = 1500;
     EXPECT_TRUE(ctl.decide(snap, "bob", tp, 0).admit);
     EXPECT_TRUE(ctl.decide(snap, "carol", tp, 0).admit);
     snap.counters["slo.bob.burn_rate"] = 5000;
-    EXPECT_TRUE(ctl.decide(snap, tp, 0).admit);
+    EXPECT_TRUE(ctl.decide(snap, "", tp, 0).admit);
 }
 
 //
@@ -351,7 +351,6 @@ TEST(ServingEngineSloTest, BurnRateFromMissedDeadlinesShedsTenant)
 
     // The next submit is shed BY the SLO metric, not by backlog.
     EXPECT_THROW(engine.submit(makeReq(2)), AdmissionRejected);
-    EXPECT_EQ(engine.stats().shed, 1u);
     EXPECT_EQ(reg.snapshot().counters.at("serving.shed_jobs"), 1u);
 
     // Other tenants are untouched: burn rates are per tenant.
@@ -360,7 +359,7 @@ TEST(ServingEngineSloTest, BurnRateFromMissedDeadlinesShedsTenant)
     ok.tenant = "slo_cold";
     ok.inputs.seed = 3;
     engine.submit(std::move(ok)).get();
-    EXPECT_EQ(engine.stats().completed, 2u);
+    EXPECT_EQ(reg.snapshot().counters.at("serving.jobs_completed"), 2u);
     reg.reset();
 }
 
@@ -415,6 +414,8 @@ TEST(FlightRecorderTest, FailedJobLeavesCausalSequence)
     const std::string dumpPath = "EVENTS_test_exporter.json";
     std::remove(dumpPath.c_str());
 
+    auto &reg = obs::MetricsRegistry::global();
+    const uint64_t failed0 = reg.counter("serving.jobs_failed").value();
     ServingConfig cfg;
     cfg.workers = 1;
     cfg.eventDumpPath = dumpPath;
@@ -428,7 +429,7 @@ TEST(FlightRecorderTest, FailedJobLeavesCausalSequence)
     req.inputs.bind(0, std::vector<std::complex<double>>(128));
     auto fut = engine.submit(std::move(req));
     EXPECT_THROW(fut.get(), FatalError);
-    EXPECT_EQ(engine.stats().failed, 1u);
+    EXPECT_EQ(reg.counter("serving.jobs_failed").value() - failed0, 1u);
 
     // The global recorder holds the job's full lifecycle, in causal
     // order: submit -> admit -> (executor) dispatch+fail -> job fail.
@@ -696,7 +697,8 @@ TEST(ServingEngineSloTest, BurnRatePenaltyDeprioritizesDispatch)
     EXPECT_EQ(firstTenant, "pen_cold");
     EXPECT_GE(
         reg.snapshot().counters.at("serving.dispatch_penalties"), 1u);
-    EXPECT_EQ(engine.stats().shed, 0u); // penalized, never shed
+    // penalized, never shed
+    EXPECT_EQ(reg.snapshot().counters.at("serving.shed_jobs"), 0u);
     reg.reset();
 }
 

@@ -253,7 +253,7 @@ TEST(TelemetryTest, OffByDefaultProducesNoArtifacts)
     EXPECT_EQ(res.opsExecuted, nonSourceOps(p));
 }
 
-TEST(TelemetryTest, StatsConsistentAcrossSchedulers)
+TEST(TelemetryTest, StatsConsistentAcrossThreadBudgets)
 {
     FheContext ctx(smallParams());
     BgvScheme bgv(&ctx);
@@ -262,25 +262,16 @@ TEST(TelemetryTest, StatsConsistentAcrossSchedulers)
     RuntimeInputs in;
     in.seed = 23;
 
-    for (auto kind :
-         {SchedulerKind::kSerial, SchedulerKind::kWavefront,
-          SchedulerKind::kWorkStealing}) {
+    for (unsigned budget : {1u, 0u}) {
         ExecutionPolicy pol;
-        pol.scheduler = kind;
+        pol.threadBudget = budget;
         auto res = exec.execute(in, pol);
         EXPECT_EQ(res.opsExecuted, nonSourceOps(p));
         EXPECT_GE(res.maxWavefrontWidth, 1u);
         EXPECT_GT(res.peakResidentCiphertexts, 0u);
-        if (kind == SchedulerKind::kSerial) {
-            EXPECT_EQ(res.wavefronts, res.opsExecuted);
+        if (budget == 1) { // the serial walk
             EXPECT_EQ(res.maxWavefrontWidth, 1u);
             EXPECT_EQ(res.steals, 0u);
-        } else if (kind == SchedulerKind::kWavefront) {
-            EXPECT_GT(res.wavefronts, 0u);
-            EXPECT_LT(res.wavefronts, res.opsExecuted);
-            EXPECT_EQ(res.steals, 0u);
-        } else {
-            EXPECT_EQ(res.wavefronts, 0u); // WS has no rounds
         }
     }
 }
@@ -345,7 +336,7 @@ TEST(TelemetryTest, ProfileCountsHotPathWork)
     EXPECT_TRUE(isValidJson(prof.toJson(), &why)) << why;
 }
 
-TEST(TelemetryTest, ProfileCountersBitStableAcrossSchedulers)
+TEST(TelemetryTest, ProfileCountersBitStableAcrossThreadCounts)
 {
     FheContext ctx(smallParams());
     BgvScheme bgv(&ctx);
@@ -358,26 +349,24 @@ TEST(TelemetryTest, ProfileCountersBitStableAcrossSchedulers)
     // state (hint generation itself runs NTTs).
     exec.execute(in, {});
 
-    auto profiled = [&](SchedulerKind kind, unsigned threads) {
+    auto profiled = [&](unsigned budget, unsigned threads) {
         setGlobalThreadCount(threads);
         ExecutionPolicy pol;
-        pol.scheduler = kind;
+        pol.threadBudget = budget;
         pol.telemetry.profile = true;
         auto res = exec.execute(in, pol);
         setGlobalThreadCount(0);
         return res.profile;
     };
 
-    auto ref = profiled(SchedulerKind::kSerial, 1);
+    auto ref = profiled(1, 1);
     ASSERT_NE(ref, nullptr);
-    for (auto kind :
-         {SchedulerKind::kSerial, SchedulerKind::kWavefront,
-          SchedulerKind::kWorkStealing}) {
+    for (unsigned budget : {1u, 0u}) {
         for (unsigned threads : {1u, 4u}) {
-            auto prof = profiled(kind, threads);
+            auto prof = profiled(budget, threads);
             ASSERT_NE(prof, nullptr);
             // Hot-path work is a function of the program alone —
-            // identical counts for every scheduler x thread count.
+            // identical counts for every budget x thread count.
             EXPECT_EQ(prof->nttForward, ref->nttForward);
             EXPECT_EQ(prof->nttInverse, ref->nttInverse);
             EXPECT_EQ(prof->keySwitchApplies,
@@ -404,7 +393,6 @@ TEST(TelemetryTest, TraceExportsPerfettoJson)
 
     setGlobalThreadCount(4);
     ExecutionPolicy pol;
-    pol.scheduler = SchedulerKind::kWorkStealing;
     pol.scheduleHints = &hints;
     pol.telemetry.trace = true;
     pol.telemetry.label = "trace-test";
@@ -427,9 +415,10 @@ TEST(TelemetryTest, TraceExportsPerfettoJson)
         if (ev.kind != obs::TraceEventKind::kOpSpan)
             continue;
         auto [it, fresh] = laneEnd.try_emplace(ev.lane, 0);
-        if (!fresh)
+        if (!fresh) {
             EXPECT_GE(ev.tsNs, it->second)
                 << "overlapping spans in lane " << ev.lane;
+        }
         it->second = ev.tsNs + ev.durNs;
         // Hinted runs stamp the compiler's predicted start cycle.
         EXPECT_GE(ev.predictedCycle, 0);

@@ -180,6 +180,14 @@ TEST(ParallelFor, GlobalThreadCountControl)
 {
     setGlobalThreadCount(3);
     EXPECT_EQ(globalThreadCount(), 3u);
+    EXPECT_EQ(parallelWidth(), 3u);
+    {
+        InlineParallelScope inlineScope; // parallelFor runs inline
+        EXPECT_EQ(parallelWidth(), 1u);
+    }
+    std::atomic<unsigned> nested{0};
+    parallelFor(0, 2, [&](size_t) { nested += parallelWidth(); });
+    EXPECT_EQ(nested.load(), 2u); // pool bodies run nested calls inline
     setGlobalThreadCount(1); // serial fallback
     EXPECT_EQ(globalThreadCount(), 1u);
     int calls = 0;
