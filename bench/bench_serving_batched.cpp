@@ -52,7 +52,9 @@
  *    (exit 5 on any of these).
  * In full mode the telemetry tax is gated: the workload rerun with
  * per-op profiling + tracing on AND a scraper hammering /metrics must
- * stay within 1.5x of the telemetry-off turnaround (exit 4).
+ * stay within 1.5x of the telemetry-off turnaround (exit 4). Both
+ * traced phases report trace_dropped_events: the events their runs
+ * emitted that the shared span log no longer held at collect.
  *
  * Usage: bench_serving_batched [--smoke]
  *   --smoke  CI canary: fewer jobs, workers {1, 2}, bit-identity and
@@ -82,7 +84,7 @@
 #include "obs/eventlog.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/tracectx.h"
+#include "obs/trace.h"
 #include "runtime/op_graph_executor.h"
 #include "runtime/serving.h"
 
@@ -347,6 +349,11 @@ run(bool smoke)
     // hammers /metrics, must stay within 1.5x of telemetry-off.
     double telemetryOffJps = 0;
     double telemetryOnJps = 0;
+    // Span-log loss of the traced phases: traced runs share the log's
+    // slots, so an overflow shows here.
+    obs::Counter &traceDropped =
+        obs::MetricsRegistry::global().counter("trace.dropped_events");
+    uint64_t telemetryDropped = 0;
     if (!smoke) {
         const unsigned w = std::min(2u, hw);
         telemetryOffJps = runMode(w, kMaxBatch).jobsPerSec;
@@ -362,7 +369,9 @@ run(bool smoke)
                     std::chrono::milliseconds(10));
             }
         });
+        const uint64_t dropped0 = traceDropped.value();
         telemetryOnJps = runMode(w, kMaxBatch, true).jobsPerSec;
+        telemetryDropped = traceDropped.value() - dropped0;
         stopScraper.store(true, std::memory_order_relaxed);
         scraper.join();
     }
@@ -375,6 +384,7 @@ run(bool smoke)
     size_t corrJobs = 0;
     size_t corrLinked = 0;
     size_t corrCalibKinds = 0;
+    const uint64_t corrDropped0 = traceDropped.value();
     {
         obs::ScheduleCalibration::global().reset();
         Program corr = correlationProgram(n);
@@ -498,6 +508,8 @@ run(bool smoke)
         }
     }
 
+    const uint64_t corrDropped = traceDropped.value() - corrDropped0;
+
     // --- Self-scrape over real sockets: what CI's curl would see.
     std::string scrapeFailure;
     {
@@ -592,14 +604,17 @@ run(bool smoke)
     if (!smoke) {
         printf("  \"telemetry_overhead\": {\"off_jobs_per_sec\": "
                "%.2f, \"on_jobs_per_sec\": %.2f, \"ratio\": %.3f, "
-               "\"limit\": 1.5},\n",
+               "\"limit\": 1.5, \"trace_dropped_events\": %llu},\n",
                telemetryOffJps, telemetryOnJps,
                telemetryOnJps > 0 ? telemetryOffJps / telemetryOnJps
-                                  : 0.0);
+                                  : 0.0,
+               static_cast<unsigned long long>(telemetryDropped));
     }
     printf("  \"correlation\": {\"jobs\": %zu, \"flow_linked\": %zu, "
-           "\"calibration_kinds\": %zu, \"ok\": %s%s%s},\n",
+           "\"calibration_kinds\": %zu, \"trace_dropped_events\": %llu, "
+           "\"ok\": %s%s%s},\n",
            corrJobs, corrLinked, corrCalibKinds,
+           static_cast<unsigned long long>(corrDropped),
            corrFailure.empty() ? "true" : "false",
            corrFailure.empty() ? "" : ", \"failure\": ",
            corrFailure.empty()

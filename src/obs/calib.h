@@ -6,13 +6,14 @@
  * F1's headline claim (§4.4) is that static cycle scheduling keeps the
  * datapath saturated; the instrument for that claim is the residual
  * between the cycle scheduler's predicted startCycle and when the op
- * actually started. The tracer has carried the pair per span since the
- * telemetry PR, but nothing aggregated it — a reviewer had to eyeball
- * Perfetto. ScheduleCalibration closes the loop: executors feed it
- * (predicted startCycle, measured start ns) pairs per op kind, it
- * maintains a least-squares fit y = slope·x + intercept plus the mean
- * absolute error of the fit over a bounded recent window, and it
- * publishes everything twice — as registry gauges
+ * actually started. Every op span carries the pair (obs/trace.h), but
+ * a span alone aggregates nothing — a reviewer would have to eyeball
+ * Perfetto. ScheduleCalibration closes the loop: traced executions
+ * feed it (predicted startCycle, measured start ns) pairs per op kind
+ * from the spans they record, it maintains a least-squares fit
+ * y = slope·x + intercept plus the mean absolute error of the fit
+ * over a bounded recent window, and it publishes everything twice —
+ * as registry gauges
  * (calib.<kind>.{samples,slope_milli,intercept_ns,mae_ns}) for
  * Prometheus, and as /calibration.json for humans.
  *

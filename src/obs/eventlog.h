@@ -12,32 +12,28 @@
  * instrument Prometheus counters cannot be.
  *
  * Always-on by design: events fire per JOB transition (never per op
- * or per limb), so a record is one relaxed fetch_add plus a handful
- * of relaxed atomic stores — cheap enough to leave running in
+ * or per limb), so a record is one relaxed fetch_add, one CAS and a
+ * handful of atomic stores — cheap enough to leave running in
  * production, which is the whole point of a flight recorder. There is
  * deliberately no off switch and no TLS gate; the per-op discipline
  * ("one TLS load + branch when telemetry is off") applies to the
  * profile/trace hooks, not to this per-job path.
  *
- * Concurrency: the ring is a fixed array of slots, each a per-slot
- * seqlock (ticket = 2*seq+1 while writing, 2*seq when committed) over
- * ATOMIC payload words — writers never block, readers (dump) retry
- * slots caught mid-write and drop them after a few attempts. A dump
- * is a consistent sample of committed events, sorted by sequence
- * number; under wraparound the oldest events are overwritten and the
- * dump reports how many were dropped.
+ * Concurrency: the recorder is a payload codec over a SeqlockRing
+ * (obs/ring.h) — writers never block, a dump is a consistent sample of
+ * committed events in sequence order, and under wraparound the oldest
+ * events are overwritten and the dump reports how many were dropped.
  */
 #ifndef F1_OBS_EVENTLOG_H
 #define F1_OBS_EVENTLOG_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/ring.h"
 
 namespace f1::obs {
 
@@ -84,7 +80,7 @@ class FlightRecorder
 
     /** Lock-free; safe from any thread, including under engine
      *  locks. `traceId` is the job's correlation id from
-     *  obs/tracectx.h (0 = none, e.g. pre-PR-10 callers). */
+     *  allocateTraceId (obs/trace.h; 0 = none). */
     void record(ServingEventKind kind, uint64_t jobId,
                 std::string_view tenant, uint64_t fingerprint = 0,
                 uint32_t batchSize = 0, uint64_t traceId = 0);
@@ -105,36 +101,20 @@ class FlightRecorder
 
     /** Total events ever offered (recorded - min(recorded, capacity)
      *  of them have been overwritten). */
-    uint64_t recorded() const
-    {
-        return next_.load(std::memory_order_relaxed);
-    }
-    size_t capacity() const { return cap_; }
+    uint64_t recorded() const { return ring_.recorded(); }
+    size_t capacity() const { return ring_.capacity(); }
 
   private:
-    // Payload packing (all relaxed atomic words):
+    // Payload packing:
     //   w[0] jobId          w[1] fingerprint
     //   w[2] bit_cast(tsMs) w[3] kind | batchSize<<8 | tenantLen<<40
     //   w[4] traceId        w[5..7] tenant bytes, NUL-padded
     static constexpr size_t kTenantWords = 3;
-    struct Slot
-    {
-        std::atomic<uint64_t> ticket{0};
-        std::atomic<uint64_t> w[5 + kTenantWords]{};
-    };
+    SeqlockRing<5 + kTenantWords> ring_;
 
-    const size_t cap_;
-    std::unique_ptr<Slot[]> slots_;
-    std::atomic<uint64_t> next_{0};
-
-    /** Slots a dump had to discard after exhausting its retries
-     *  (writer kept overwriting them). Cumulative across all dumps of
-     *  this recorder's lifetime — it feeds the eventlog.dropped gauge
-     *  together with the wraparound-overwritten count. */
-    mutable std::atomic<uint64_t> tornDropped_{0};
-
-    /** Registers eventlog.dropped. Declared LAST so it unregisters
-     *  before any state it reads is destroyed. */
+    /** Registers eventlog.dropped (the ring's wraparound and torn-read
+     *  losses). Declared LAST so it unregisters before the ring it
+     *  reads is destroyed. */
     GaugeHandle droppedGauge_;
 };
 

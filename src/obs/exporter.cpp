@@ -320,7 +320,7 @@ MetricsExporter::handle(std::string_view path) const
         // the serial server serves nothing else meanwhile (by design —
         // see the header's endpoint table).
         r.contentType = "application/json";
-        r.body = LiveTraceCapture::global().captureJson(ms);
+        r.body = SpanLog::global().captureJson(ms);
     } else if (path == "/healthz") {
         r.body = "ok\n";
     } else {

@@ -18,11 +18,12 @@
  *  - /events.json    FlightRecorder::dumpJson()
  *  - /calibration.json  ScheduleCalibration::toJson() — per-op-kind
  *                    predicted-vs-measured schedule fit
- *  - /tracez?ms=N    LiveTraceCapture::captureJson(N): arms the live
- *                    capture ring, samples op spans for N ms (default
- *                    50, clamped 1..2000), and returns them as Chrome
- *                    trace JSON. Blocks the (serial) server for the
- *                    window — a live-debugging request, not a scrape.
+ *  - /tracez?ms=N    SpanLog::captureJson(N): arms the span log,
+ *                    samples the events recorded in N ms (default 50,
+ *                    clamped 1..2000), and returns them as Chrome
+ *                    trace JSON with the window's "dropped" count.
+ *                    Blocks the (serial) server for the window — a
+ *                    live-debugging request, not a scrape.
  *  - /healthz        200 "ok"
  *
  * Name mapping (Prometheus names admit [a-zA-Z0-9_:] only):
@@ -55,7 +56,7 @@
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/tracectx.h"
+#include "obs/trace.h"
 
 namespace f1::obs {
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "obs/json.h"
 
 namespace f1::obs {
 
@@ -27,40 +28,6 @@ quantileJsonKey(double q)
         if (c == '.')
             c = '_';
     return "p" + key + "_ms";
-}
-
-/** JSON numbers must not be NaN/inf; clamp defensively. */
-void
-appendJsonNumber(std::ostringstream &os, double v)
-{
-    if (!std::isfinite(v))
-        v = 0;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
-}
-
-void
-appendJsonString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
 }
 
 } // namespace

@@ -1,47 +1,20 @@
 #include "obs/profile.h"
 
-#include <cstdio>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace f1::obs {
 
 thread_local ProfileCollector *t_profileCollector = nullptr;
 
-namespace {
-
-/** The label is the only free-form string in the export. */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 ExecutionProfile::toJson() const
 {
     std::ostringstream os;
-    os << "{\"label\": \"" << escapeJson(label)
-       << "\", \"prepare_ms\": "
+    os << "{\"label\": ";
+    appendJsonString(os, label);
+    os << ", \"prepare_ms\": "
        << prepareMs << ", \"execute_ms\": " << executeMs
        << ", \"op_kinds\": {";
     bool first = true;
@@ -58,10 +31,7 @@ ExecutionProfile::toJson() const
         if (!first)
             os << ", ";
         first = false;
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "0x%016llx",
-                      static_cast<unsigned long long>(id));
-        os << "\"" << buf << "\"";
+        os << "\"" << hexId(id) << "\"";
     }
     os << "], \"ntt_forward\": " << nttForward
        << ", \"ntt_inverse\": " << nttInverse

@@ -204,7 +204,7 @@ struct ExecutionProfile
     std::string label; //!< TelemetryOptions::label (serving: tenant)
 
     /** Correlation ids of the batch members this profile covers, in
-     *  member order (obs/tracectx.h; one entry per fused job, 0 for
+     *  member order (obs/trace.h; one entry per fused job, 0 for
      *  untraced members). A profile covers the WHOLE fused batch, so
      *  every member's trace id maps to it. */
     std::vector<uint64_t> traceIds;

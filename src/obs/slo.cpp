@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace f1::obs {
 
 namespace {
@@ -11,39 +13,6 @@ namespace {
 /** Burn rates are reported in milli-units; cap so a 0-attainment
  *  window with a tight budget stays a finite, sortable number. */
 constexpr double kMaxBurnRate = 1e6;
-
-void
-appendJsonString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-appendJsonNumber(std::ostringstream &os, double v)
-{
-    if (!std::isfinite(v))
-        v = 0;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    os << buf;
-}
 
 } // namespace
 

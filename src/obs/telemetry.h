@@ -8,14 +8,13 @@
  * both false, an execution performs no clock reads, no allocations,
  * and no atomic traffic beyond the pre-existing stats counters — the
  * hot-path hooks reduce to thread-local null checks plus one relaxed
- * atomic load per op for the /tracez live-capture arm check
- * (obs/tracectx.h; < 1% on the scheduler-latency bench; tests assert
- * no profile/trace artifacts are produced).
+ * atomic load per op for the /tracez arm check (SpanLog::armed in
+ * obs/trace.h; < 1% on the scheduler-latency bench; tests assert no
+ * profile/trace artifacts are produced).
  */
 #ifndef F1_OBS_TELEMETRY_H
 #define F1_OBS_TELEMETRY_H
 
-#include <cstddef>
 #include <string>
 
 #include "obs/profile.h"
@@ -29,12 +28,10 @@ struct TelemetryOptions
      *  /basis-extend counts, scratch high-water, cache traffic). */
     bool profile = false;
 
-    /** Record per-op spans and steal/release instants into a
-     *  Perfetto-loadable trace (ExecutionResult::trace). */
+    /** Record per-op spans and steal/release instants into the span
+     *  log and collect them as a Perfetto-loadable trace
+     *  (ExecutionResult::trace). */
     bool trace = false;
-
-    /** Ring capacity per recording thread (trace only). */
-    size_t traceLaneCapacity = 1 << 14;
 
     /** Stamped into trace metadata and the profile; the serving
      *  engine fills it with the job's tenant when empty. */

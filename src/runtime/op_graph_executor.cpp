@@ -16,7 +16,7 @@
 #include "common/time_util.h"
 #include "obs/calib.h"
 #include "obs/eventlog.h"
-#include "obs/tracectx.h"
+#include "obs/trace.h"
 
 namespace f1 {
 
@@ -206,19 +206,43 @@ struct OpGraphExecutor::RunState
     size_t steals = 0;
     EncodingCache *encCache = nullptr;
 
-    // Telemetry for this traversal; all nullptr when telemetry is off.
+    // Telemetry for this traversal: a null collector and run id 0
+    // when telemetry is off.
     obs::ProfileCollector *collector = nullptr;
-    obs::Tracer *tracer = nullptr;
     const ScheduleHints *hints = nullptr;
 
-    /** Absolute-epoch-relative ns at which the timed execute phase
-     *  began (tracer clock) — the origin for the schedule-calibration
-     *  measured starts. */
+    /** The process-wide span log (obs/trace.h). A traced run records
+     *  every event under runId; an untraced run records its spans only
+     *  while a /tracez window is armed. */
+    obs::SpanLog *log = nullptr;
+    uint64_t runId = 0;
+    std::atomic<uint64_t> emitted{0}; //!< events recorded under runId
+
+    /** Steady-clock ns at which a traced traversal began — the origin
+     *  of its Trace and of the schedule-calibration measured starts. */
     int64_t executeEpochNs = 0;
 
-    /** The process-wide live-capture ring (obs/tracectx.h); runOp
-     *  mirrors spans into it only while a /tracez window is armed. */
-    obs::LiveTraceCapture *live = nullptr;
+    void
+    record(const obs::TraceEvent &e)
+    {
+        log->record(e, runId);
+        if (runId != 0)
+            emitted.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    /** A steal or release instant; traced runs only. */
+    void
+    instant(obs::TraceEventKind kind, int h)
+    {
+        if (runId == 0)
+            return;
+        obs::TraceEvent e;
+        e.tsNs = obs::steadyNowNs();
+        e.name = kind == obs::TraceEventKind::kSteal ? "steal" : "release";
+        e.handle = h;
+        e.kind = kind;
+        record(e);
+    }
 };
 
 OpGraphExecutor::OpGraphExecutor(const Program &prog, BgvScheme *bgv)
@@ -534,54 +558,43 @@ OpGraphExecutor::executeOp(int h, RunState &st, Member &m) const
 
 /**
  * executeOp plus this run's telemetry. The telemetry-off path is one
- * null check, one relaxed atomic load (the /tracez live-capture arm
- * check), and a tail call — no clock reads, which is what keeps
- * disabled runs inside the <1% overhead budget. Under batching the
- * trace carries one span per (op, member).
+ * null check, one relaxed atomic load (the /tracez arm check), and a
+ * tail call — no clock reads, which is what keeps disabled runs
+ * inside the <1% overhead budget. Otherwise one clock pair times the
+ * op, and the one span it yields feeds the profile, the calibration
+ * and the span log. Under batching that is one span per (op, member).
  */
 void
 OpGraphExecutor::runOp(int h, RunState &st, Member &m) const
 {
-    const bool live = st.live != nullptr && st.live->armed();
-    if (st.collector == nullptr && st.tracer == nullptr && !live) {
+    const bool logged = st.runId != 0 || st.log->armed();
+    if (st.collector == nullptr && !logged) {
         executeOp(h, st, m);
         return;
     }
     const HeOp &op = prog_.ops()[h];
-    const int64_t predicted =
+    obs::TraceEvent span;
+    span.predictedCycle =
         st.hints != nullptr ? int64_t(st.hints->startCycle[size_t(h)])
                             : -1;
-    if (st.tracer != nullptr) {
-        // Tracer timestamps are steady-clock ns past the tracer's
-        // epoch, so the span pair doubles as the op duration.
-        const int64_t t0 = st.tracer->nowNs();
-        executeOp(h, st, m);
-        const int64_t ns = st.tracer->nowNs() - t0;
-        if (st.collector != nullptr)
-            st.collector->addOp(size_t(op.kind), uint64_t(ns));
-        st.tracer->span(opKindName(op.kind), h, t0, ns, predicted,
-                        m.traceId);
-        // Calibration pairs the compiler's predicted start cycle with
-        // the measured start relative to the traversal's own start;
-        // only the lead member records (see Member::memberIndex).
-        if (predicted >= 0 && m.memberIndex == 0)
-            obs::ScheduleCalibration::global().record(
-                size_t(op.kind), opKindName(op.kind),
-                uint64_t(predicted), t0 - st.executeEpochNs);
-        if (live)
-            st.live->record(st.tracer->epochNs() + t0, ns,
-                            opKindName(op.kind), h, m.traceId,
-                            predicted);
-        return;
-    }
-    const int64_t a0 = obs::steadyNowNs();
+    span.traceId = m.traceId;
+    span.name = opKindName(op.kind);
+    span.handle = h;
+    span.tsNs = obs::steadyNowNs();
     executeOp(h, st, m);
-    const int64_t ns = obs::steadyNowNs() - a0;
+    span.durNs = obs::steadyNowNs() - span.tsNs;
     if (st.collector != nullptr)
-        st.collector->addOp(size_t(op.kind), uint64_t(ns));
-    if (live)
-        st.live->record(a0, ns, opKindName(op.kind), h, m.traceId,
-                        predicted);
+        st.collector->addOp(size_t(op.kind), uint64_t(span.durNs));
+    // Calibration pairs the compiler's predicted start cycle with the
+    // measured start relative to the traversal's own start; only the
+    // lead member of a traced run records (see Member::memberIndex).
+    if (st.runId != 0 && span.predictedCycle >= 0 &&
+        m.memberIndex == 0)
+        obs::ScheduleCalibration::global().record(
+            size_t(op.kind), span.name, uint64_t(span.predictedCycle),
+            span.tsNs - st.executeEpochNs);
+    if (logged)
+        st.record(span);
 }
 
 /**
@@ -700,9 +713,7 @@ OpGraphExecutor::runWorkStealing(RunState &st,
         for (Member &m : st.members)
             m.cts[h].reset();
         resident.fetch_sub(1, std::memory_order_relaxed);
-        if (st.tracer != nullptr)
-            st.tracer->instant(obs::TraceEventKind::kRelease, h,
-                               st.tracer->nowNs());
+        st.instant(obs::TraceEventKind::kRelease, h);
     };
 
     // The work unit stays one op across ALL members: the op is
@@ -762,10 +773,7 @@ OpGraphExecutor::runWorkStealing(RunState &st,
                     if (h >= 0) {
                         steals.fetch_add(1,
                                          std::memory_order_relaxed);
-                        if (st.tracer != nullptr)
-                            st.tracer->instant(
-                                obs::TraceEventKind::kSteal, h,
-                                st.tracer->nowNs());
+                        st.instant(obs::TraceEventKind::kSteal, h);
                     }
                 }
                 if (h < 0) {
@@ -840,9 +848,11 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     }
     st.encCache = policy.encodingCache;
     st.hints = policy.scheduleHints;
-    st.live = &obs::LiveTraceCapture::global();
+    st.log = &obs::SpanLog::global();
+    if (policy.telemetry.trace)
+        st.runId = obs::allocateTraceId();
 
-    // Telemetry collectors live on the stack for exactly this run.
+    // The profile collector lives on the stack for exactly this run.
     // The ProfileScope around each phase makes pool batches dispatched
     // from it inherit the collector (see ThreadPool::run), so nested
     // limb-parallel work is attributed to this run — and a run WITHOUT
@@ -850,15 +860,9 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     // batch collects ONE profile/trace for the whole traversal and
     // shares it across members' results.
     std::unique_ptr<obs::ProfileCollector> collector;
-    std::unique_ptr<obs::Tracer> tracer;
     if (policy.telemetry.profile)
         collector = std::make_unique<obs::ProfileCollector>();
-    if (policy.telemetry.trace)
-        tracer = std::make_unique<obs::Tracer>(
-            policy.telemetry.traceLaneCapacity,
-            policy.telemetry.label);
     st.collector = collector.get();
-    st.tracer = tracer.get();
 
     // Prepare members serially, each from its own Rng(seed): member
     // i's prepared state is byte-for-byte what a solo run would build.
@@ -875,6 +879,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     const double p0 = steadyNowMs();
     double prepareMs = 0;
     double wallMs = 0;
+    uint64_t logFrom = 0; //!< span log position before the traversal
     try {
         {
             obs::ProfileScope profScope(st.collector);
@@ -886,9 +891,10 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
         const double t0 = steadyNowMs();
         {
             obs::ProfileScope profScope(st.collector);
-            // The calibration origin: measured op starts are relative
-            // to the moment the traversal begins (tracer clock).
-            st.executeEpochNs = st.tracer ? st.tracer->nowNs() : 0;
+            if (st.runId != 0) {
+                st.executeEpochNs = obs::steadyNowNs();
+                logFrom = st.log->recorded();
+            }
             runWorkStealing(st, policy);
         }
         wallMs = steadyNowMs() - t0;
@@ -938,9 +944,14 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
             prof->traceIds.push_back(m.traceId);
         profile = std::move(prof);
     }
+    // Every worker has joined, so all of this run's events are in the
+    // log between logFrom and its current position.
     std::shared_ptr<const obs::Trace> trace;
-    if (tracer)
-        trace = std::make_shared<const obs::Trace>(tracer->finish());
+    if (st.runId != 0)
+        trace = std::make_shared<const obs::Trace>(st.log->collect(
+            st.runId, logFrom, st.log->recorded(),
+            st.emitted.load(std::memory_order_relaxed),
+            st.executeEpochNs, policy.telemetry.label));
 
     std::vector<ExecutionResult> results(B);
     for (size_t b = 0; b < B; ++b) {

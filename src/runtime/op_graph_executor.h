@@ -89,7 +89,7 @@ struct RuntimeInputs
     uint64_t seed = 0xdada;
 
     /** Correlation id stamped by the serving engine at submit
-     *  (obs/tracectx.h); the executor carries it into tracer spans,
+     *  (obs/trace.h); the executor carries it into op spans,
      *  flight-recorder events, and the ExecutionProfile so one job's
      *  artifacts share a key. Observability only — it NEVER affects
      *  outputs (the determinism contract stays (program, inputs,

@@ -6,7 +6,7 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/time_util.h"
-#include "obs/tracectx.h"
+#include "obs/trace.h"
 
 namespace f1 {
 

@@ -238,7 +238,7 @@ struct JobResult
     double queueMs = 0;   //!< submit -> worker pickup
     double serviceMs = 0; //!< pickup -> completion (includes prepare)
 
-    /** Correlation id allocated at submit (obs/tracectx.h): the same
+    /** Correlation id allocated at submit (obs/trace.h): the same
      *  id stamps this job's flight-recorder lifecycle events, its
      *  executor trace spans, and its ExecutionProfile::traceIds entry,
      *  so one slow job can be followed across all three. */
@@ -303,7 +303,7 @@ class ServingEngine
         uint64_t programFp = 0;  //!< coalescing key
         int priority = 0;        //!< tenant class, frozen at submit
         double deadlineAtMs = 0; //!< submitMs + class deadline
-        uint64_t traceId = 0;    //!< correlation id (tracectx.h)
+        uint64_t traceId = 0;    //!< correlation id (obs/trace.h)
     };
 
     void start();

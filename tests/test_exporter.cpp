@@ -582,6 +582,7 @@ TEST(MetricsExporterTest, ServesCalibrationAndTracez)
               200);
     EXPECT_TRUE(isValidJson(body, &why)) << why;
     EXPECT_TRUE(contains(body, "\"window_ms\": 2"));
+    EXPECT_TRUE(contains(body, "\"dropped\": "));
     EXPECT_TRUE(contains(body, "\"traceEvents\""));
 
     // Query routing via the socket-free core: an unparsable ms falls
