@@ -9,17 +9,18 @@
  *
  * A second section runs a deep imbalanced DAG, built so that a
  * schedule with a barrier per depth level is as slow as it can be,
- * serially (threadBudget = 1) and with work stealing on the whole
- * pool fed the compiler's schedule hints, and emits p50/p95 execute
- * latency for both. It also computes two bounds from one profiled
- * inline run's per-op-kind mean durations: the barrier schedule
- * (the sum over depth levels of the slowest op at each level, what
- * one round per level costs) and the critical path (the heaviest
- * source-to-output path). These runs have telemetry OFF — their
+ * serially (threadBudget = 1) and on the whole pool (the
+ * "work_stealing" row, a name kept so results line up across
+ * versions) fed the compiler's schedule hints, and emits p50/p95
+ * execute latency for both. It also computes two bounds from one
+ * profiled inline run's per-op-kind mean durations: the barrier
+ * schedule (the sum over depth levels of the slowest op at each
+ * level, what one round per level costs) and the critical path (the
+ * heaviest source-to-output path). These runs have telemetry OFF — their
  * numbers are the trajectory CI compares across PRs to hold the
  * "disabled telemetry costs <1%" contract.
  *
- * A third section re-runs the work-stealing config with full
+ * A third section re-runs the whole-pool config with full
  * telemetry (per-op trace + execution profile), writes the trace to
  * TRACE_scheduler.json (Perfetto-loadable; uploaded as a CI
  * artifact), validates it in-process (span count == executed ops,
@@ -27,11 +28,17 @@
  * snapshot in the JSON, and in full mode gates the telemetry-ON
  * overhead (exit 5 if p50 exceeds 1.5x the off p50 at >= 4 threads).
  *
+ * A fourth section walks a chain of 64 dependent rotations on the
+ * whole pool, so one op is in flight and the other workers are idle,
+ * and reports wall and process CPU time (getrusage) per execute. CPU
+ * near wall means idle workers sleep; near wall times the pool size
+ * means they spin. It has no gate: the ratio depends on the host.
+ *
  * Every run is checked bit-for-bit against the serial baseline: a
  * throughput number from diverging ciphertexts is a correctness
  * failure, not a perf data point (exit 1). In full mode on >= 4
  * hardware threads two gates are enforced: >= 2x jobs/sec at >= 4
- * workers (exit 2) and work-stealing p95 at most 0.9x the computed
+ * workers (exit 2) and whole-pool p95 at most 0.9x the computed
  * barrier schedule on the imbalanced DAG (exit 3). The computed
  * barrier bound leaves out the barrier's own overhead, so it is a
  * lower bound on what a barrier scheduler would measure.
@@ -48,6 +55,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -99,7 +108,7 @@ aggregateProgram(uint32_t n)
  * every depth level holds exactly one expensive ct-ct multiply and
  * chains-1 cheap adds: a barrier round per level costs one mul no
  * matter how many threads attack it, so the whole program costs
- * steps x mul. Work stealing runs the chains independently and
+ * steps x mul. The executor runs the chains independently and
  * spreads the muls across workers.
  */
 Program
@@ -116,6 +125,30 @@ deepImbalancedDag(uint32_t n, int chains, int steps)
     for (int c = 0; c < chains; ++c)
         p.output(acc[c]);
     return p;
+}
+
+/** `length` dependent rotations: one op in flight at any time. */
+Program
+rotationChain(uint32_t n, int length)
+{
+    Program p(n, 3, "rotate-chain");
+    int acc = p.input();
+    for (int i = 0; i < length; ++i)
+        acc = p.rotate(acc, 1);
+    p.output(acc);
+    return p;
+}
+
+/** User plus system CPU time of the whole process, in ms. */
+double
+processCpuMs()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto ms = [](const timeval &t) {
+        return double(t.tv_sec) * 1e3 + double(t.tv_usec) / 1e3;
+    };
+    return ms(ru.ru_utime) + ms(ru.ru_stime);
 }
 
 /** The ExecutionProfile::opKinds key of each op kind the DAG uses
@@ -323,9 +356,9 @@ run(bool smoke)
     }
 
     // --- Scheduler latency: the deep imbalanced DAG walked serially
-    // and by work stealing on the whole pool, both fed the compiler's
-    // schedule hints. wallMs is the timed execute phase (prepare
-    // excluded), so this isolates scheduling quality.
+    // and on the whole pool, both fed the compiler's schedule hints.
+    // wallMs is the timed execute phase (prepare excluded), so this
+    // isolates scheduling quality.
     const Program dag =
         deepImbalancedDag(n, 4, smoke ? 8 : 16);
     const ScheduleHints dagHints =
@@ -346,7 +379,7 @@ run(bool smoke)
     };
     const SchedRow &ws = sched[1];
     ScheduleBounds bounds;
-    // --- Telemetry: the work-stealing config again with full
+    // --- Telemetry: the whole-pool config again with full
     // telemetry on. The last rep's trace is exported for Perfetto and
     // validated in-process; bit-identity against the baseline proves
     // telemetry never perturbs results.
@@ -365,7 +398,7 @@ run(bool smoke)
 
         // Per-op-kind mean durations for the bounds, from one inline
         // run: ops there run single-threaded, as each op does on a
-        // pool worker under work stealing.
+        // pool worker.
         {
             InlineParallelScope inlineScope;
             ExecutionPolicy pol;
@@ -419,6 +452,28 @@ run(bool smoke)
         } else {
             traceValid = false;
         }
+    }
+
+    // --- Idle workers: a chain keeps one op in flight on the whole
+    // pool, so process CPU time beyond wall time is what the idle
+    // workers burn. One untimed run warms the rotation key.
+    const int chainOps = 64;
+    double chainWallMs = 0, chainCpuMs = 0;
+    {
+        const Program chain = rotationChain(n, chainOps);
+        OpGraphExecutor exec(chain, &bgv);
+        RuntimeInputs in;
+        in.seed = 91;
+        const uint64_t want =
+            outputsHash(exec.execute(in, serialPolicy));
+        exec.execute(in);
+        const double cpu0 = processCpuMs();
+        const double t0 = steadyNowMs();
+        for (int r = 0; r < reps; ++r)
+            allIdentical =
+                allIdentical && outputsHash(exec.execute(in)) == want;
+        chainWallMs = (steadyNowMs() - t0) / reps;
+        chainCpuMs = (processCpuMs() - cpu0) / reps;
     }
 
     const auto hintStats = bgv.hintCacheStats();
@@ -483,6 +538,11 @@ run(bool smoke)
            (unsigned long long)traceDropped,
            traceValid ? "true" : "false");
     printf("    \"profile\": %s\n  },\n", profileJson.c_str());
+    printf("  \"chain\": {\"program\": \"rotate-chain\", \"ops\": %d, "
+           "\"threads\": %u, \"reps\": %d, \"wall_ms\": %.3f, "
+           "\"cpu_ms\": %.3f, \"cpu_over_wall\": %.3f},\n",
+           chainOps, globalThreadCount(), reps, chainWallMs, chainCpuMs,
+           chainWallMs > 0 ? chainCpuMs / chainWallMs : 0.0);
     printf("  \"hint_cache\": {\"hits\": %llu, \"misses\": %llu, "
            "\"evictions\": %llu},\n",
            (unsigned long long)hintStats.hits,
@@ -515,14 +575,14 @@ run(bool smoke)
             }
         }
         // Acceptance gate: on the deep imbalanced DAG at >= 4
-        // threads, work stealing must beat a barrier per depth level
+        // threads, the whole pool must beat a barrier per depth level
         // by >= 10% at p95. The barrier bound is computed without the
         // barrier's own overhead, so this is no looser than timing a
         // barrier scheduler. Below 4 hardware threads there is no
         // barrier idleness to reclaim, so the gate is moot.
         if (hw >= 4 && ws.p95Ms > 0.90 * bounds.barrierMs) {
             fprintf(stderr,
-                    "FAIL: work-stealing p95 %.3f ms vs barrier bound "
+                    "FAIL: whole-pool p95 %.3f ms vs barrier bound "
                     "%.3f ms (< 10%% improvement; critical path %.3f "
                     "ms)\n",
                     ws.p95Ms, bounds.barrierMs, bounds.criticalPathMs);

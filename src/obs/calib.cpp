@@ -71,35 +71,36 @@ ScheduleCalibration::record(size_t kind, const char *name,
         k.ring[k.ringNext] = {x, y};
         k.ringNext = (k.ringNext + 1) % kRingCap;
     }
-    refit(k);
+    const KindFit f = fit(k);
+    k.gSamples.store(f.samples, std::memory_order_relaxed);
+    k.gSlopeMilli.store(clampToGauge(f.slopeNsPerCycle * 1000.0),
+                        std::memory_order_relaxed);
+    k.gInterceptNs.store(clampToGauge(f.interceptNs),
+                         std::memory_order_relaxed);
+    k.gMaeNs.store(clampToGauge(f.maeNs), std::memory_order_relaxed);
 }
 
-void
-ScheduleCalibration::refit(Kind &k)
+ScheduleCalibration::KindFit
+ScheduleCalibration::fit(const Kind &k)
 {
+    KindFit f;
+    f.samples = k.n;
     const double n = static_cast<double>(k.n);
     const double den = n * k.sxx - k.sx * k.sx;
-    double slope = 0, intercept = 0;
     if (k.n >= 2 && std::abs(den) > 1e-9) {
-        slope = (n * k.sxy - k.sx * k.sy) / den;
-        intercept = (k.sy - slope * k.sx) / n;
+        f.slopeNsPerCycle = (n * k.sxy - k.sx * k.sy) / den;
+        f.interceptNs = (k.sy - f.slopeNsPerCycle * k.sx) / n;
     } else if (k.n >= 1) {
         // All predictions identical (or a single sample): the best
         // constant model is the mean measured start.
-        intercept = k.sy / n;
+        f.interceptNs = k.sy / n;
     }
     double absErr = 0;
     for (const auto &[x, y] : k.ring)
-        absErr += std::abs(y - (slope * x + intercept));
-    const double mae =
-        k.ring.empty() ? 0 : absErr / double(k.ring.size());
-
-    k.gSamples.store(k.n, std::memory_order_relaxed);
-    k.gSlopeMilli.store(clampToGauge(slope * 1000.0),
-                        std::memory_order_relaxed);
-    k.gInterceptNs.store(clampToGauge(intercept),
-                         std::memory_order_relaxed);
-    k.gMaeNs.store(clampToGauge(mae), std::memory_order_relaxed);
+        absErr += std::abs(y - (f.slopeNsPerCycle * x + f.interceptNs));
+    f.maeNs = k.ring.empty() ? 0 : absErr / double(k.ring.size());
+    f.retained = k.ring.size();
+    return f;
 }
 
 std::vector<ScheduleCalibration::KindFit>
@@ -110,24 +111,8 @@ ScheduleCalibration::snapshot() const
         std::lock_guard<std::mutex> lock(k.m);
         if (k.name == nullptr || k.n == 0)
             continue;
-        KindFit f;
-        f.name = k.name;
-        f.samples = k.n;
-        const double n = static_cast<double>(k.n);
-        const double den = n * k.sxx - k.sx * k.sx;
-        if (k.n >= 2 && std::abs(den) > 1e-9) {
-            f.slopeNsPerCycle = (n * k.sxy - k.sx * k.sy) / den;
-            f.interceptNs = (k.sy - f.slopeNsPerCycle * k.sx) / n;
-        } else {
-            f.interceptNs = k.sy / n;
-        }
-        double absErr = 0;
-        for (const auto &[x, y] : k.ring)
-            absErr += std::abs(
-                y - (f.slopeNsPerCycle * x + f.interceptNs));
-        f.maeNs = k.ring.empty() ? 0 : absErr / double(k.ring.size());
-        f.retained = k.ring.size();
-        out.push_back(std::move(f));
+        out.push_back(fit(k));
+        out.back().name = k.name;
     }
     return out;
 }

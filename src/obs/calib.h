@@ -122,7 +122,10 @@ class ScheduleCalibration
         std::vector<GaugeHandle> gauges;
     };
 
-    void refit(Kind &k);
+    /** Least-squares slope and intercept over all of k's samples,
+     *  and the MAE over its ring; every field but the name. The
+     *  caller holds k.m. */
+    static KindFit fit(const Kind &k);
 
     Kind kinds_[kMaxKinds];
 };

@@ -30,7 +30,8 @@ struct TelemetryOptions
 
     /** Record per-op spans and steal/release instants into the span
      *  log and collect them as a Perfetto-loadable trace
-     *  (ExecutionResult::trace). */
+     *  (ExecutionResult::trace). A steal is an op run by a worker
+     *  other than the one whose retirement readied it. */
     bool trace = false;
 
     /** Stamped into trace metadata and the profile; the serving

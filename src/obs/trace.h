@@ -8,7 +8,8 @@
  *    kind, DSL handle, lane (worker thread), the compiler's predicted
  *    startCycle from ScheduleHints, and the measured start — the
  *    predicted-vs-actual pair every scheduling change tunes against;
- *  - instant events ("ph":"i") for work steals and ciphertext
+ *  - instant events ("ph":"i") for steals (an op run by a worker
+ *    other than the one whose retirement readied it) and ciphertext
  *    releases, the two dynamic-scheduler decisions the static
  *    schedule cannot see.
  *
@@ -66,7 +67,8 @@ steadyNowNs()
 
 enum class TraceEventKind : uint8_t {
     kOpSpan,  //!< one HeOp execution (complete event)
-    kSteal,   //!< op taken from another worker's deque (instant)
+    kSteal,   //!< op run by a worker other than the one whose
+              //!< retirement readied it (instant)
     kRelease, //!< ciphertext freed after last consumer (instant)
 };
 

@@ -4,10 +4,11 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <sstream>
-#include <thread>
+#include <utility>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -450,8 +451,8 @@ OpGraphExecutor::encodeBgvPlain(std::span<const uint64_t> slots,
  * an RnsPoly at the consuming ciphertext's (scale, level), and the
  * result is content-addressed in the shared cache — repeated model
  * weights across jobs and batch members encode once. Determinism:
- * encoding is a pure function of (slots, scale, level), so cached and
- * fresh encodings are bit-identical.
+ * encoding is a pure function of (primes, slots, scale, level), all
+ * in the key, so cached and fresh encodings are bit-identical.
  */
 std::shared_ptr<const RnsPoly>
 OpGraphExecutor::encodeCkksPlain(
@@ -462,8 +463,11 @@ OpGraphExecutor::encodeCkksPlain(
         return std::make_shared<const RnsPoly>(
             ckks_->encoder().encode(slots, scale, level));
     }
+    const FheContext &ctx = *ckks_->context();
     EncodingKey key;
     key.paramsFp = hashCombine(hashMix(0xc4c5de), prog_.n());
+    for (size_t i = 0; i < ctx.maxLevel(); ++i)
+        key.paramsFp = hashCombine(key.paramsFp, ctx.ciphertextPrime(i));
     uint64_t dh = hashMix(slots.size());
     for (const std::complex<double> &s : slots) {
         dh = hashCombine(dh, std::bit_cast<uint64_t>(s.real()));
@@ -598,38 +602,24 @@ OpGraphExecutor::runOp(int h, RunState &st, Member &m) const
 }
 
 /**
- * The batching primitive: op `h` runs for every member back to back,
- * so the hint-cache entries, twiddle tables, and scratch buffers the
- * op touches stay hot across the whole batch, and the scheduler pays
- * its per-op cost (pops, retire bookkeeping, priority maintenance)
- * once per batch instead of once per job.
- */
-void
-OpGraphExecutor::runOpAllMembers(int h, RunState &st) const
-{
-    for (Member &m : st.members)
-        runOp(h, st, m);
-}
-
-/**
- * Continuation scheduling: W workers each own a priority deque of
- * ready ops. Completing op `h` atomically decrements its consumers'
- * dependency counts; a consumer reaching zero is pushed onto the
- * completing worker's deque (the continuation stays local). A worker
- * whose deque is empty steals the most urgent op from another deque.
- * No round barrier exists, so an expensive op never stalls
- * independent work that becomes ready while it runs.
+ * The walk: one ready heap ordered by OpPriority under one mutex. A
+ * worker pops the most urgent ready op, runs it for every member
+ * without the lock, then retakes the lock to retire it: dependents
+ * whose last operand it was join the heap, and operands it consumed
+ * for the last time are released. No round barrier exists, so an
+ * expensive op never stalls independent work that becomes ready while
+ * it runs; a worker that finds the heap empty sleeps on the condition
+ * variable instead of spinning.
  *
- * Synchronization: all deque traffic goes through per-deque mutexes;
- * dependency counts are acq_rel atomics, so a consumer popped from
- * any deque observes every producer's ciphertext write. Consumer
- * counts are acq_rel atomics too: the thread whose decrement reaches
- * zero is the only one to release the ciphertext, and every reader
- * has already finished (it decrements only after executing).
+ * Synchronization: the heap, the dependency and use counts and the
+ * RunState counters are guarded by the mutex. An op is popped only
+ * after its producers retired under that mutex, so it observes their
+ * ciphertext writes, and a ciphertext is released only by the
+ * retirement that drops its last use, after every reader ran.
  */
 void
-OpGraphExecutor::runWorkStealing(RunState &st,
-                                 const ExecutionPolicy &policy) const
+OpGraphExecutor::runGraph(RunState &st,
+                          const ExecutionPolicy &policy) const
 {
     const auto &ops = prog_.ops();
     const size_t n = ops.size();
@@ -640,160 +630,123 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     };
 
     // Sized by the width parallelFor can actually use here: inside an
-    // InlineParallelScope that is 1, so one worker drains the graph in
-    // priority order instead of one thread emptying W deques in turn.
+    // InlineParallelScope that is 1, so one worker drains the heap in
+    // priority order.
     unsigned workers = parallelWidth();
     if (policy.threadBudget != 0)
         workers = std::min(workers, policy.threadBudget);
     const size_t W = std::max(workers, 1u);
 
-    struct WorkerDeque
-    {
-        std::mutex m;
-        std::vector<int> heap; //!< ready ops, min-heap by priority
-    };
-    std::unique_ptr<WorkerDeque[]> deques(new WorkerDeque[W]);
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<int> heap; //!< ready ops, min-heap by priority
+    std::vector<int> indeg = indegree_;
+    std::vector<int> uses = consumers_;
+    // The worker whose retirement readied each op; -1 if the inputs
+    // did. Running an op another worker readied counts as a steal.
+    std::vector<int> readiedBy(n, -1);
+    size_t remaining = workOps_;
+    size_t running = 0; //!< ops in flight
+    std::exception_ptr error;
 
-    std::vector<std::atomic<int>> indeg(n);
-    std::vector<std::atomic<int>> uses(n);
-    for (size_t i = 0; i < n; ++i) {
-        indeg[i].store(indegree_[i], std::memory_order_relaxed);
-        uses[i].store(consumers_[i], std::memory_order_relaxed);
-    }
-
-    std::atomic<size_t> remaining{workOps_};
-    std::atomic<size_t> resident{st.resident};
-    std::atomic<size_t> peakResident{st.peakResident};
-    std::atomic<size_t> steals{0};
-    // Ops concurrently in flight; the peak is reported as
-    // ExecutionResult::maxWavefrontWidth.
-    std::atomic<size_t> running{0};
-    std::atomic<size_t> peakRunning{0};
-    std::atomic<bool> abort{false};
-    std::mutex errMutex;
-    std::exception_ptr firstError;
-
-    // Seed: propagate input completions, then deal the initial ready
-    // set round-robin across the deques in priority order so workers
-    // start loaded without stealing.
-    std::vector<int> ready0;
+    // Seed: propagate input completions.
     for (size_t i = 0; i < n; ++i) {
         if (!isSource(ops[i]))
             continue;
-        for (int dep : dependents_[i]) {
-            if (indeg[dep].fetch_sub(1, std::memory_order_relaxed) ==
-                1)
-                ready0.push_back(dep);
-        }
+        for (int dep : dependents_[i])
+            if (--indeg[dep] == 0)
+                heap.push_back(dep);
     }
-    std::sort(ready0.begin(), ready0.end(),
-              [&](int a, int b) { return prio.before(a, b); });
-    for (size_t k = 0; k < ready0.size(); ++k)
-        deques[k % W].heap.push_back(ready0[k]);
-    for (size_t w = 0; w < W; ++w)
-        std::make_heap(deques[w].heap.begin(), deques[w].heap.end(),
-                       heapCmp);
+    std::make_heap(heap.begin(), heap.end(), heapCmp);
 
-    auto popFrom = [&](WorkerDeque &dq) -> int {
-        std::lock_guard<std::mutex> lock(dq.m);
-        if (dq.heap.empty())
+    // Waits for a ready op and pops the most urgent one; -1 once every
+    // op has retired or a worker has thrown.
+    auto claim = [&](size_t wid) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] {
+            return error || !heap.empty() || remaining == 0;
+        });
+        if (error || heap.empty())
             return -1;
-        std::pop_heap(dq.heap.begin(), dq.heap.end(), heapCmp);
-        const int h = dq.heap.back();
-        dq.heap.pop_back();
+        std::pop_heap(heap.begin(), heap.end(), heapCmp);
+        const int h = heap.back();
+        heap.pop_back();
+        if (readiedBy[h] >= 0 && readiedBy[h] != int(wid)) {
+            ++st.steals;
+            st.instant(obs::TraceEventKind::kSteal, h);
+        }
+        st.peakInFlight = std::max(st.peakInFlight, ++running);
         return h;
     };
-    auto pushTo = [&](WorkerDeque &dq, int h) {
-        std::lock_guard<std::mutex> lock(dq.m);
-        dq.heap.push_back(h);
-        std::push_heap(dq.heap.begin(), dq.heap.end(), heapCmp);
-    };
 
-    auto releaseCt = [&](int h) {
+    // Under mu. The ciphertexts move to `freed`, which the worker
+    // clears after dropping the lock: freeing them under it slowed
+    // the lola benchmark's p50 by 15%.
+    using Freed = std::vector<std::optional<Ciphertext>>;
+    auto release = [&](int h, Freed &freed) {
         for (Member &m : st.members)
-            m.cts[h].reset();
-        resident.fetch_sub(1, std::memory_order_relaxed);
+            freed.push_back(std::exchange(m.cts[h], std::nullopt));
+        --st.resident;
         st.instant(obs::TraceEventKind::kRelease, h);
     };
 
-    // The work unit stays one op across ALL members: the op is
-    // popped once, its hint/twiddle working set is touched once, and
-    // only then do dependents unlock — exactly the amortization the
-    // coalescer buys. Member outputs are disjoint, so no member-level
-    // synchronization is needed.
-    auto runOne = [&](size_t wid, int h) {
-        const size_t now =
-            running.fetch_add(1, std::memory_order_relaxed) + 1;
-        size_t wide = peakRunning.load(std::memory_order_relaxed);
-        while (now > wide &&
-               !peakRunning.compare_exchange_weak(
-                   wide, now, std::memory_order_relaxed)) {
-        }
-        runOpAllMembers(h, st);
-        running.fetch_sub(1, std::memory_order_relaxed);
+    // Under mu.
+    auto retire = [&](size_t wid, int h, Freed &freed) {
+        --running;
         if (producesCiphertext(ops[h])) {
-            const size_t cur =
-                resident.fetch_add(1, std::memory_order_relaxed) + 1;
-            size_t peak =
-                peakResident.load(std::memory_order_relaxed);
-            while (cur > peak &&
-                   !peakResident.compare_exchange_weak(
-                       peak, cur, std::memory_order_relaxed)) {
-            }
+            st.peakResident = std::max(st.peakResident, ++st.resident);
             // Dead code: a result nothing consumes is dropped now.
-            if (uses[h].load(std::memory_order_acquire) == 0)
-                releaseCt(h);
+            if (uses[h] == 0)
+                release(h, freed);
         }
-        // Unlock dependents; newly-ready continuations stay local.
+        // The retiring worker claims one readied op itself; each other
+        // one wakes a sleeper.
+        bool claimed = false;
         for (int dep : dependents_[h]) {
-            if (indeg[dep].fetch_sub(1,
-                                     std::memory_order_acq_rel) == 1)
-                pushTo(deques[wid], dep);
+            if (--indeg[dep] != 0)
+                continue;
+            readiedBy[dep] = int(wid);
+            heap.push_back(dep);
+            std::push_heap(heap.begin(), heap.end(), heapCmp);
+            if (std::exchange(claimed, true))
+                cv.notify_one();
         }
         // Release operands this op consumed for the last time.
         int deps[2];
         ctOperands(ops[h], deps);
-        for (int d : deps) {
-            if (d >= 0 &&
-                uses[d].fetch_sub(1, std::memory_order_acq_rel) == 1)
-                releaseCt(d);
-        }
-        remaining.fetch_sub(1, std::memory_order_release);
+        for (int d : deps)
+            if (d >= 0 && --uses[d] == 0)
+                release(d, freed);
+        if (--remaining == 0)
+            cv.notify_all();
     };
 
+    // The batching primitive: the work unit stays one op across ALL
+    // members, run back to back, so the hint-cache entries, twiddle
+    // tables and scratch buffers it touches stay hot across the batch,
+    // and the claim and retire bookkeeping is paid once per batch
+    // instead of once per job. Member outputs are disjoint, so no
+    // member-level synchronization is needed.
     auto worker = [&](size_t wid) {
+        Freed freed;
         try {
-            for (;;) {
-                if (abort.load(std::memory_order_relaxed))
-                    return;
-                int h = popFrom(deques[wid]);
-                if (h < 0) {
-                    for (size_t k = 1; k < W && h < 0; ++k)
-                        h = popFrom(deques[(wid + k) % W]);
-                    if (h >= 0) {
-                        steals.fetch_add(1,
-                                         std::memory_order_relaxed);
-                        st.instant(obs::TraceEventKind::kSteal, h);
-                    }
+            for (int h = claim(wid); h >= 0; h = claim(wid)) {
+                for (Member &m : st.members)
+                    runOp(h, st, m);
+                {
+                    std::lock_guard<std::mutex> lock(mu);
+                    retire(wid, h, freed);
                 }
-                if (h < 0) {
-                    if (remaining.load(std::memory_order_acquire) ==
-                        0)
-                        return;
-                    std::this_thread::yield();
-                    continue;
-                }
-                runOne(wid, h);
+                freed.clear();
             }
         } catch (...) {
-            {
-                std::lock_guard<std::mutex> lock(errMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-            }
-            // Unblock the other workers: they must not spin on a
-            // remaining count that will never reach zero.
-            abort.store(true, std::memory_order_relaxed);
+            // Keep the first error and wake every sleeper: the other
+            // workers stop at their next claim, and the caller
+            // rethrows.
+            std::lock_guard<std::mutex> lock(mu);
+            if (!error)
+                error = std::current_exception();
+            cv.notify_all();
         }
     };
 
@@ -802,13 +755,8 @@ OpGraphExecutor::runWorkStealing(RunState &st,
     // calling thread and drains the whole graph in strict priority
     // order, so the serial walk is exact and deterministic.
     parallelFor(0, W, worker);
-    if (firstError)
-        std::rethrow_exception(firstError);
-
-    st.resident = resident.load(std::memory_order_relaxed);
-    st.peakResident = peakResident.load(std::memory_order_relaxed);
-    st.steals = steals.load(std::memory_order_relaxed);
-    st.peakInFlight = peakRunning.load(std::memory_order_relaxed);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 ExecutionResult
@@ -895,7 +843,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
                 st.executeEpochNs = obs::steadyNowNs();
                 logFrom = st.log->recorded();
             }
-            runWorkStealing(st, policy);
+            runGraph(st, policy);
         }
         wallMs = steadyNowMs() - t0;
     } catch (...) {

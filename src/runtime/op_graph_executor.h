@@ -11,10 +11,11 @@
  * the two levels compose without nesting deadlocks: wide op-level
  * parallelism narrows gracefully into per-limb parallelism.
  *
- * One scheduler, continuation scheduling (work stealing): each
- * completed op decrements its consumers' dependency counts and
- * enqueues newly-ready ops on the completing worker's deque; idle
- * workers steal. No thread ever waits at a round barrier. When
+ * One scheduler, one ready heap: workers pop the most urgent ready op
+ * from a single priority heap under one mutex, run it, and on
+ * retiring it push the consumers it readied; a worker that finds the
+ * heap empty sleeps on a condition variable until an op is readied.
+ * No thread ever waits at a round barrier. When
  * ExecutionPolicy::scheduleHints carries the compiler's static
  * schedule, ready ops are prioritized critical-path-first
  * (cycle-scheduler issue order) with memory-scheduler liveness rank
@@ -140,7 +141,11 @@ struct ExecutionResult
     size_t peakResidentCiphertexts = 0;
 
     size_t maxWavefrontWidth = 0; //!< peak ops in flight
-    size_t steals = 0; //!< ops taken from another worker's deque
+
+    /** Ops run by a worker other than the one whose retirement readied
+     *  them (ops readied by the inputs never count); 0 for a
+     *  one-worker walk. */
+    size_t steals = 0;
 
     /** Plaintext-encoding cache traffic attributable to this run. */
     uint64_t encodingCacheHits = 0;
@@ -159,12 +164,14 @@ struct ExecutionResult
  * than (program, handle) addressing) keeps the cache correct across
  * tenants that reuse a program shape with different constants.
  *
- * BGV encodings depend only on (params, slots), so shapeFp stays 0.
- * CKKS encodings additionally depend on the encoding scale and the
- * ciphertext level they are lifted to, so shapeFp folds both in —
- * the same slot data encoded at two scales occupies two entries. The
- * scheme tag inside paramsFp keeps the two key spaces disjoint, so
- * one shared cache serves mixed traffic.
+ * BGV encodings are coefficients mod t, so paramsFp folds (n, t) and
+ * shapeFp stays 0. CKKS encodings are residues mod the context's
+ * primes, so paramsFp folds n and the modulus chain, and they also
+ * depend on the encoding scale and the ciphertext level they are
+ * lifted to, so shapeFp folds both in — the same slot data encoded at
+ * two scales occupies two entries. The scheme tag inside paramsFp
+ * keeps the two key spaces disjoint, so one shared cache serves mixed
+ * traffic.
  */
 struct EncodingKey
 {
@@ -271,9 +278,7 @@ class OpGraphExecutor
     void executeOp(int h, RunState &st, Member &m) const;
     //! executeOp + telemetry
     void runOp(int h, RunState &st, Member &m) const;
-    void runOpAllMembers(int h, RunState &st) const;
-    void runWorkStealing(RunState &st,
-                         const ExecutionPolicy &policy) const;
+    void runGraph(RunState &st, const ExecutionPolicy &policy) const;
 
     const Program &prog_;
     uint64_t fp_ = 0; //!< prog_.fingerprint(), cached for event hooks

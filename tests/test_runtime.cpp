@@ -1,15 +1,16 @@
 /**
  * @file
- * Serving-runtime tests: the LRU cache, the work-stealing DAG executor
- * (bit-identity against its serial walk, threadBudget = 1, across
- * pool sizes, under InlineParallelScope, and with compiler schedule
- * hints; program order under InlineParallelScope; liveness-based
- * release; cycle rejection), batched execution (executeBatch
- * bit-identity against solo runs for BGV and CKKS, shared encoding
- * cache accounting), and the multi-tenant serving pipeline (admission
- * control driven by the metrics registry, coalesced batches matching
- * isolated execution across worker counts, registry counters and
- * queue-depth gauges, shutdown under load).
+ * Serving-runtime tests: the LRU cache, the DAG executor (bit-identity
+ * against its serial walk, threadBudget = 1, across pool sizes, under
+ * InlineParallelScope, and with compiler schedule hints; program order
+ * under InlineParallelScope; liveness-based release; cycle rejection;
+ * an op throwing mid-walk on a multi-worker pool), batched execution
+ * (executeBatch bit-identity against solo runs for BGV and CKKS,
+ * shared encoding cache accounting and its modulus-chain key), and
+ * the multi-tenant serving pipeline (admission control driven by the
+ * metrics registry, coalesced batches matching isolated execution
+ * across worker counts, registry counters and queue-depth gauges,
+ * shutdown under load).
  */
 #include <gtest/gtest.h>
 
@@ -521,6 +522,38 @@ TEST(OpGraphExecutorTest, HintSizeMismatchThrows)
     EXPECT_THROW(exec.execute({}, hintedPolicy(&wrong)), FatalError);
 }
 
+TEST(OpGraphExecutorTest, OpThrowingMidWalkStopsEveryWorker)
+{
+    FheContext ctx(smallParams());
+    CkksScheme ckks(&ctx);
+    // Twelve independent rotations keep the pool's workers busy or
+    // asleep on the heap while the add throws: its operands differ in
+    // scale (a mulPlain result is at scale^2, a fresh input at scale).
+    Program bad(256, 8, "throws-mid-walk");
+    Program good(256, 8, "rotations");
+    for (Program *p : {&bad, &good}) {
+        int x = p->input();
+        for (int r = 1; r <= 12; ++r)
+            p->output(p->rotate(x, r));
+        if (p == &bad) {
+            int m = p->mulPlain(x, p->inputPlain());
+            p->output(p->add(m, p->input()));
+        }
+    }
+    OpGraphExecutor badExec(bad, &ckks);
+    OpGraphExecutor goodExec(good, &ckks);
+    RuntimeInputs in;
+    in.seed = 47;
+
+    setGlobalThreadCount(4);
+    for (int run = 0; run < 20; ++run)
+        EXPECT_THROW(badExec.execute(in), PanicError) << "run " << run;
+    // The pool survives: a valid program on it matches the serial walk.
+    expectIdenticalOutputs(goodExec.execute(in, serialPolicy()),
+                           goodExec.execute(in));
+    setGlobalThreadCount(0);
+}
+
 //
 // Serving engine
 //
@@ -807,6 +840,50 @@ TEST(OpGraphExecutorTest, ExecuteBatchSharesCkksEncodingCache)
     for (size_t i = 0; i < kBatch; ++i)
         expectIdenticalOutputs(exec.execute(ins[i], serialPolicy()),
                                batch[i]);
+}
+
+TEST(OpGraphExecutorTest, CkksEncodingCacheKeysOnModulusChain)
+{
+    // Two contexts that differ only in their primes share one cache.
+    // An encoding holds residues mod those primes, so the second
+    // scheme must miss, not reuse the first scheme's residues.
+    FheParams params;
+    params.n = 4096;
+    params.maxLevel = 2;
+    params.ckksScale = double(1 << 22);
+    params.primeBits = 28;
+    FheContext ctx28(params);
+    params.primeBits = 30;
+    FheContext ctx30(params);
+    CkksScheme ckks28(&ctx28);
+    CkksScheme ckks30(&ctx30);
+
+    Program p(4096, 2, "ckks-chain-key");
+    int x = p.input();
+    int w = p.inputPlain();
+    p.output(p.mulPlain(x, w));
+    std::vector<std::complex<double>> xs(2048), ws(2048);
+    for (size_t i = 0; i < xs.size(); ++i) {
+        xs[i] = {0.5 - 0.0004 * double(i), 0.0};
+        ws[i] = {0.25 + 0.0003 * double(i), 0.0};
+    }
+    RuntimeInputs in;
+    in.bind(x, xs);
+    in.bind(w, ws);
+
+    EncodingCache cache(64, "");
+    ExecutionPolicy pol = serialPolicy();
+    pol.encodingCache = &cache;
+    for (CkksScheme *ckks : {&ckks28, &ckks30}) {
+        const ExecutionResult res = OpGraphExecutor(p, ckks).execute(in, pol);
+        EXPECT_EQ(res.encodingCacheMisses, 1u);
+        EXPECT_EQ(res.encodingCacheHits, 0u);
+        const auto out = ckks->decrypt(res.outputs.begin()->second);
+        double maxErr = 0;
+        for (size_t i = 0; i < xs.size(); ++i)
+            maxErr = std::max(maxErr, std::abs(out[i] - xs[i] * ws[i]));
+        EXPECT_LT(maxErr, 1e-3);
+    }
 }
 
 //
