@@ -8,16 +8,21 @@
  * several N, single-threaded, on both the Harvey lazy path
  * (NttTables::forward/inverse) and the strict-reduction reference
  * (forwardStrict/inverseStrict), and cross-checks that the outputs
- * are bit-identical. Part 2 runs GHS and digit key-switching in
- * steady state and reports the scratch arena's checkout statistics:
- * heap allocations per apply() must be zero once warm.
+ * are bit-identical. Part 2 times the element-wise product over 8,192
+ * residues at N = 4096 (two limbs) and N = 8192 (one limb): the
+ * division-based mulMod reference against mulModBarrett, in ns per
+ * product, and cross-checks every product. Part 3 runs GHS and digit
+ * key-switching in steady state and reports the scratch arena's
+ * checkout statistics: heap allocations per apply() must be zero once
+ * warm. The top-level "isa" key names the lazy stage kernel the
+ * loader picked on this CPU ("avx2" or "baseline").
  *
  * Usage: bench_ntt_lazy [--smoke]
  *   --smoke  fewer reps and only N = 4096, for the CI canary.
  *
- * Exits nonzero on any correctness failure (lazy/strict divergence or
- * a warm apply() that hits the heap); the speedup numbers themselves
- * are data points, not gates.
+ * Exits nonzero on any correctness failure (lazy/strict or
+ * Barrett/mulMod divergence, or a warm apply() that hits the heap);
+ * the speedup numbers themselves are data points, not gates.
  */
 #include <chrono>
 #include <cstdio>
@@ -29,6 +34,7 @@
 #include "common/scratch.h"
 #include "fhe/fhe_context.h"
 #include "fhe/keyswitch.h"
+#include "modular/modarith.h"
 #include "modular/primes.h"
 #include "poly/ntt.h"
 #include "poly/rns_poly.h"
@@ -94,6 +100,78 @@ runNttPair(uint32_t n, size_t reps)
     return {n, q, reps, lazyMs, strictMs, strictMs / lazyMs, identical};
 }
 
+/** Element-wise products per pass: one N = 8192 limb. */
+constexpr uint32_t kProducts = 8192;
+
+struct MulRow
+{
+    uint32_t n;
+    size_t limbs;
+    size_t reps;
+    double mulModNs;  //!< per product
+    double barrettNs;
+    bool identical;
+};
+
+/**
+ * kProducts element-wise products split over kProducts / n limbs, each
+ * limb under its own NTT-friendly prime with its Barrett constant
+ * computed once per limb loop, as in RnsPoly::mulEq.
+ */
+MulRow
+runElementwise(uint32_t n, size_t reps)
+{
+    const size_t limbs = kProducts / n;
+    const std::vector<uint32_t> qs = generateNttPrimes(limbs, 28, n);
+    Rng rng(n + 1);
+    std::vector<uint32_t> a(kProducts), b(kProducts);
+    for (size_t i = 0; i < kProducts; ++i) {
+        const uint32_t q = qs[i / n];
+        a[i] = static_cast<uint32_t>(rng.uniform(q));
+        b[i] = static_cast<uint32_t>(rng.uniform(q));
+    }
+
+    std::vector<uint32_t> ref(kProducts), bar(kProducts);
+    auto refPass = [&] {
+        for (size_t l = 0; l < limbs; ++l) {
+            const uint32_t q = qs[l];
+            for (size_t j = l * n; j < (l + 1) * n; ++j)
+                ref[j] = mulMod(a[j], b[j], q);
+        }
+    };
+    auto barrettPass = [&] {
+        for (size_t l = 0; l < limbs; ++l) {
+            const uint32_t q = qs[l];
+            const uint64_t mu = barrettPrecompute(q);
+            for (size_t j = l * n; j < (l + 1) * n; ++j)
+                bar[j] = mulModBarrett(a[j], b[j], q, mu);
+        }
+    };
+    // Each pass reads a and b and writes its own output, so the timed
+    // loops cannot be folded away; the final outputs are compared.
+    const double t0 = nowMs();
+    for (size_t r = 0; r < reps; ++r)
+        refPass();
+    const double refMs = (nowMs() - t0) / reps;
+    const double t1 = nowMs();
+    for (size_t r = 0; r < reps; ++r)
+        barrettPass();
+    const double barMs = (nowMs() - t1) / reps;
+    return {n, limbs, reps, refMs * 1e6 / kProducts,
+            barMs * 1e6 / kProducts, ref == bar};
+}
+
+/** The lazy stage kernel the loader binds on this CPU. */
+const char *
+kernelIsa()
+{
+#if defined(__x86_64__)
+    return __builtin_cpu_supports("avx2") ? "avx2" : "baseline";
+#else
+    return "baseline";
+#endif
+}
+
 struct ArenaRow
 {
     const char *variant;
@@ -153,6 +231,10 @@ run(bool smoke)
         rows.push_back(runNttPair(n, reps));
     }
 
+    std::vector<MulRow> mulRows;
+    for (uint32_t n : {4096u, 8192u})
+        mulRows.push_back(runElementwise(n, smoke ? 16 : 512));
+
     const size_t applies = smoke ? 4 : 16;
     const ArenaRow arena[] = {
         runKeySwitchArena(KeySwitchVariant::kGhsExtension,
@@ -165,6 +247,7 @@ run(bool smoke)
     printf("{\n  \"bench\": \"ntt_lazy\",\n");
     printf("  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     printf("  \"threads\": 1,\n");
+    printf("  \"isa\": \"%s\",\n", kernelIsa());
     printf("  \"ntt\": [\n");
     bool ok = true;
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -178,6 +261,20 @@ run(bool smoke)
                r.n, r.q, r.reps, r.lazyMs, r.strictMs, r.speedup,
                r.identical ? "true" : "false",
                i + 1 < rows.size() ? "," : "");
+    }
+    printf("  ],\n");
+    printf("  \"elementwise\": [\n");
+    for (size_t i = 0; i < mulRows.size(); ++i) {
+        const MulRow &r = mulRows[i];
+        ok = ok && r.identical;
+        printf("    {\"n\": %u, \"limbs\": %zu, \"products\": %u, "
+               "\"reps\": %zu, \"mulmod_ns\": %.3f, "
+               "\"barrett_ns\": %.3f, "
+               "\"speedup_barrett_vs_mulmod\": %.3f, "
+               "\"bit_identical\": %s}%s\n",
+               r.n, r.limbs, kProducts, r.reps, r.mulModNs, r.barrettNs,
+               r.mulModNs / r.barrettNs, r.identical ? "true" : "false",
+               i + 1 < mulRows.size() ? "," : "");
     }
     printf("  ],\n");
     printf("  \"keyswitch_arena\": [\n");

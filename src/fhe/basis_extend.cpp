@@ -21,8 +21,10 @@ BasisExtender::BasisExtender(const PolyContext *ctx,
     const size_t l = source_.size();
     qHatInv_.resize(l);
     qInvReal_.resize(l);
+    sourceMu_.resize(l);
     for (size_t i = 0; i < l; ++i) {
         const uint32_t qi = ctx_->modulus(source_[i]);
+        sourceMu_[i] = barrettPrecompute(qi);
         uint64_t hat = 1;
         for (size_t j = 0; j < l; ++j) {
             if (j != i)
@@ -33,8 +35,10 @@ BasisExtender::BasisExtender(const PolyContext *ctx,
     }
     qHatModTarget_.resize(target_.size());
     qModTarget_.resize(target_.size());
+    targetMu_.resize(target_.size());
     for (size_t k = 0; k < target_.size(); ++k) {
         const uint32_t pk = ctx_->modulus(target_[k]);
+        targetMu_[k] = barrettPrecompute(pk);
         qHatModTarget_[k].resize(l);
         uint64_t qmod = 1;
         for (size_t i = 0; i < l; ++i)
@@ -76,21 +80,25 @@ BasisExtender::extend(std::span<const uint32_t> in, size_t n,
             double frac = 0;
             for (size_t i = 0; i < l; ++i) {
                 const uint32_t qi = ctx_->modulus(source_[i]);
-                w[i] = mulMod(in[i * n + j], qHatInv_[i], qi);
+                w[i] = mulModBarrett(in[i * n + j], qHatInv_[i], qi,
+                                     sourceMu_[i]);
                 frac += static_cast<double>(w[i]) * qInvReal_[i];
             }
-            const uint64_t alpha = static_cast<uint64_t>(frac + 0.5);
+            // alpha <= l: each w_i / q_i < 1.
+            const uint32_t alpha = static_cast<uint32_t>(frac + 0.5);
             for (size_t k = 0; k < tcount; ++k) {
                 const uint32_t pk = ctx_->modulus(target_[k]);
+                const uint64_t mu = targetMu_[k];
+                // w_i < q_i need not be below p_k: the Barrett multiply
+                // takes any 32-bit operand. l terms < p_k cannot
+                // overflow the 64-bit sum.
                 uint64_t acc = 0;
-                for (size_t i = 0; i < l; ++i) {
-                    acc +=
-                        (uint64_t)(w[i] % pk) * qHatModTarget_[k][i] % pk;
-                }
-                acc %= pk;
-                uint64_t corr = alpha % pk * qModTarget_[k] % pk;
-                out[k * n + j] = static_cast<uint32_t>(
-                    (acc + pk - corr % pk) % pk);
+                for (size_t i = 0; i < l; ++i)
+                    acc += mulModBarrett(w[i], qHatModTarget_[k][i], pk, mu);
+                const uint32_t corr =
+                    mulModBarrett(alpha, qModTarget_[k], pk, mu);
+                out[k * n + j] =
+                    subMod(barrettReduce(acc, pk, mu), corr, pk);
             }
         }
     });

@@ -54,6 +54,8 @@ class BasisExtender
     // qModTarget_[k] = Q mod p_k
     std::vector<uint32_t> qModTarget_;
     std::vector<double> qInvReal_; //!< 1.0 / q_i
+    // Barrett constants (barrettPrecompute) of q_i and of p_k.
+    std::vector<uint64_t> sourceMu_, targetMu_;
 };
 
 } // namespace f1

@@ -131,10 +131,13 @@ CkksEncoder::CkksEncoder(const FheContext *ctx)
     : ctx_(ctx), order_(ctx->n())
 {
     const uint32_t n = ctx->n();
+    const uint32_t bits = log2Exact(n);
     psi_.resize(n);
+    bitRev_.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
         double ang = std::numbers::pi * i / n;
         psi_[i] = {std::cos(ang), std::sin(ang)};
+        bitRev_[i] = bitReverse(i, bits);
     }
 }
 
@@ -142,9 +145,9 @@ void
 CkksEncoder::fft(std::vector<std::complex<double>> &a, bool inverse) const
 {
     const uint32_t n = static_cast<uint32_t>(a.size());
-    const uint32_t bits = log2Exact(n);
+    F1_CHECK(n == bitRev_.size(), "CKKS FFT length mismatch");
     for (uint32_t i = 0; i < n; ++i) {
-        uint32_t j = bitReverse(i, bits);
+        const uint32_t j = bitRev_[i];
         if (i < j)
             std::swap(a[i], a[j]);
     }

@@ -123,6 +123,7 @@ class CkksEncoder
     const FheContext *ctx_;
     SlotOrder order_;
     std::vector<std::complex<double>> psi_; //!< ζ^i, ζ = e^(iπ/N)
+    std::vector<uint32_t> bitRev_; //!< fft's bit-reversal permutation
 };
 
 } // namespace f1

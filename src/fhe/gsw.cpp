@@ -78,6 +78,7 @@ GswScheme::externalProduct(const Ciphertext &rlwe,
     // polynomial products (same exact arithmetic, one pool hand-off).
     parallelForLimbs(level, [&](size_t r) {
         const uint32_t q = pc->modulus(r);
+        const uint64_t mu = barrettPrecompute(q);
         auto o0 = r0.residue(r);
         auto o1 = r1.residue(r);
         for (size_t i = 0; i < level; ++i) {
@@ -88,10 +89,14 @@ GswScheme::externalProduct(const Ciphertext &rlwe,
             auto csb = rgsw.csm.b[i].residue(r);
             auto csa = rgsw.csm.a[i].residue(r);
             for (size_t j = 0; j < o0.size(); ++j) {
-                o0[j] = addMod(o0[j], mulMod(x0[j], cmb[j], q), q);
-                o1[j] = addMod(o1[j], mulMod(x0[j], cma[j], q), q);
-                o0[j] = addMod(o0[j], mulMod(x1[j], csb[j], q), q);
-                o1[j] = addMod(o1[j], mulMod(x1[j], csa[j], q), q);
+                o0[j] = addMod(o0[j], mulModBarrett(x0[j], cmb[j], q, mu),
+                               q);
+                o1[j] = addMod(o1[j], mulModBarrett(x0[j], cma[j], q, mu),
+                               q);
+                o0[j] = addMod(o0[j], mulModBarrett(x1[j], csb[j], q, mu),
+                               q);
+                o1[j] = addMod(o1[j], mulModBarrett(x1[j], csa[j], q, mu),
+                               q);
             }
         }
     });

@@ -193,12 +193,9 @@ digitDecomposeLift(const RnsPoly &x)
                 return;
             }
             const uint32_t qj = pc->modulus(j);
-            for (size_t idx = 0; idx < n; ++idx) {
-                int64_t v = lift[idx] % (int64_t)qj;
-                if (v < 0)
-                    v += qj;
-                dst[idx] = static_cast<uint32_t>(v);
-            }
+            const uint64_t mu = barrettPrecompute(qj);
+            for (size_t idx = 0; idx < n; ++idx)
+                dst[idx] = reduceSignedBarrett(lift[idx], qj, mu);
             pc->tables(j).forward(dst);
         });
         out.push_back(std::move(xt));
@@ -232,18 +229,15 @@ KeySwitcher::applyDigitScaled(const RnsPoly &x, const KeySwitchHint &hint,
         parallelFor(0, level + 1, [&](size_t track) {
             const size_t ridx = track < level ? track : sp;
             const uint32_t m = pc->modulus(ridx);
+            const uint64_t mu = barrettPrecompute(m);
             const uint32_t *xt;
             ScratchArena::Handle<uint32_t> tmp;
             if (track == i) {
                 xt = x.residue(i).data();
             } else {
                 tmp = ScratchArena::u32(n);
-                for (size_t idx = 0; idx < n; ++idx) {
-                    int64_t v = lift[idx] % (int64_t)m;
-                    if (v < 0)
-                        v += m;
-                    tmp[idx] = static_cast<uint32_t>(v);
-                }
+                for (size_t idx = 0; idx < n; ++idx)
+                    tmp[idx] = reduceSignedBarrett(lift[idx], m, mu);
                 pc->tables(ridx).forward(tmp.span());
                 xt = tmp.data();
             }
@@ -253,9 +247,11 @@ KeySwitcher::applyDigitScaled(const RnsPoly &x, const KeySwitchHint &hint,
             uint32_t *o1 = acc1.data() + track * n;
             for (size_t idx = 0; idx < n; ++idx) {
                 o1[idx] = addMod(o1[idx],
-                                 mulMod(xt[idx], ha[idx], m), m);
+                                 mulModBarrett(xt[idx], ha[idx], m, mu),
+                                 m);
                 o0[idx] = addMod(o0[idx],
-                                 mulMod(xt[idx], hb[idx], m), m);
+                                 mulModBarrett(xt[idx], hb[idx], m, mu),
+                                 m);
             }
         });
     }
@@ -348,20 +344,24 @@ KeySwitcher::applyGhs(const RnsPoly &x, const KeySwitchHint &hint,
             if (u < level) {
                 const size_t i = u;
                 const uint32_t q = pc->modulus(i);
+                const uint64_t mu = barrettPrecompute(q);
                 auto hx = h.residue(i);
                 auto xr = x.residue(i);
                 for (size_t idx = 0; idx < n; ++idx)
-                    cresp[i * n + idx] = mulMod(xr[idx], hx[idx], q);
+                    cresp[i * n + idx] =
+                        mulModBarrett(xr[idx], hx[idx], q, mu);
             } else {
                 const size_t k = u - level;
                 const uint32_t p = pc->modulus(aux_base + k);
+                const uint64_t mu = barrettPrecompute(p);
                 auto t = ScratchArena::u32(n);
                 std::copy(ext.data() + k * n, ext.data() + (k + 1) * n,
                           t.data());
                 pc->tables(aux_base + k).forward(t.span());
                 auto hx = h.residue(aux_base + k);
                 for (size_t idx = 0; idx < n; ++idx)
-                    aresp[k * n + idx] = mulMod(t[idx], hx[idx], p);
+                    aresp[k * n + idx] =
+                        mulModBarrett(t[idx], hx[idx], p, mu);
             }
         });
         return std::make_pair(std::move(cres), std::move(ares));

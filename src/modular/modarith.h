@@ -13,6 +13,7 @@
 #ifndef F1_MODULAR_MODARITH_H
 #define F1_MODULAR_MODARITH_H
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/error.h"
@@ -50,6 +51,60 @@ inline uint32_t
 mulMod(uint32_t a, uint32_t b, uint32_t q)
 {
     return static_cast<uint32_t>((uint64_t)a * b % q);
+}
+
+/**
+ * Barrett constant mu = floor(2^64 / q) for a modulus 2 <= q < 2^31.
+ * One 128-bit division; callers compute it once per limb loop.
+ */
+inline uint64_t
+barrettPrecompute(uint32_t q)
+{
+    return static_cast<uint64_t>(((unsigned __int128)1 << 64) / q);
+}
+
+/**
+ * x mod q by Barrett reduction, for any 64-bit x, with mu =
+ * barrettPrecompute(q). The quotient estimate floor(x * mu / 2^64)
+ * falls short of floor(x / q) by at most 1 (x * (2^64/q - mu) < 2^64
+ * loses under 1, the floor under 1 more), so the remainder lies in
+ * [0, 2q), below 2^32 since q < 2^31: it is computed in 32 bits and
+ * one conditional subtraction finishes the reduction.
+ */
+inline uint32_t
+barrettReduce(uint64_t x, uint32_t q, uint64_t mu)
+{
+    const uint64_t qhat =
+        static_cast<uint64_t>(((unsigned __int128)x * mu) >> 64);
+    const uint32_t r = static_cast<uint32_t>(x) -
+                       static_cast<uint32_t>(qhat) * q;
+    return r >= q ? r - q : r;
+}
+
+/**
+ * a * b mod q without a division: the element-wise product of the
+ * RNS hot loops. Valid for any 32-bit a and b (a * b < 2^64), so an
+ * operand reduced modulo a different prime needs no pre-reduction.
+ * Equals mulMod(a, b, q).
+ */
+inline uint32_t
+mulModBarrett(uint32_t a, uint32_t b, uint32_t q, uint64_t mu)
+{
+    return barrettReduce((uint64_t)a * b, q, mu);
+}
+
+/**
+ * Signed x mod q into [0, q): ((x % q) + q) % q without a division,
+ * for any int64_t x. Used to lift centered coefficients and signed
+ * products such as d * t into a residue.
+ */
+inline uint32_t
+reduceSignedBarrett(int64_t x, uint32_t q, uint64_t mu)
+{
+    const uint64_t mag = x < 0 ? 0 - static_cast<uint64_t>(x)
+                               : static_cast<uint64_t>(x);
+    const uint32_t r = barrettReduce(mag, q, mu);
+    return x < 0 && r != 0 ? q - r : r;
 }
 
 /** -a mod q. */
@@ -143,14 +198,15 @@ subLazy(uint32_t a, uint32_t b, uint32_t twoQ)
 
 /**
  * Final correction pass of the lazy pipeline: reduces x in [0, 4q)
- * to the canonical representative in [0, q). twoQ = 2q.
+ * to the canonical representative in [0, q). twoQ = 2q. Branch-free:
+ * x - c wraps above x when x < c, so each min subtracts only if
+ * x >= c.
  */
 inline uint32_t
 lazyCorrect(uint32_t x, uint32_t q, uint32_t twoQ)
 {
-    if (x >= twoQ)
-        x -= twoQ;
-    return x >= q ? x - q : x;
+    x = std::min(x, x - twoQ);
+    return std::min(x, x - q);
 }
 
 } // namespace f1

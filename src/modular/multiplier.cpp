@@ -32,20 +32,16 @@ pow2_64Mod(uint32_t q)
 
 BarrettMultiplier::BarrettMultiplier(uint32_t q) : ModMultiplier(q)
 {
-    F1_REQUIRE(q > 1, "Barrett modulus must be > 1");
-    mu_ = static_cast<uint64_t>(((unsigned __int128)1 << 64) / q);
+    F1_REQUIRE(q > 1 && q < (1u << kMaxModulusBits),
+               "Barrett modulus must be in (1, 2^" << kMaxModulusBits
+               << "), got " << q);
+    mu_ = barrettPrecompute(q);
 }
 
 uint32_t
 BarrettMultiplier::mul(uint32_t a, uint32_t b) const
 {
-    uint64_t t = (uint64_t)a * b;
-    uint64_t qhat = static_cast<uint64_t>(
-        ((unsigned __int128)t * mu_) >> 64);
-    uint64_t r = t - qhat * q_;
-    while (r >= q_)
-        r -= q_;
-    return static_cast<uint32_t>(r);
+    return mulModBarrett(a, b, q_, mu_);
 }
 
 //

@@ -48,8 +48,10 @@ class ModMultiplier
 
 /**
  * Barrett reduction: approximates the quotient with a precomputed
- * mu = floor(2^64 / q). Works for any modulus (no congruence
- * restrictions), at the highest hardware cost of the four designs.
+ * mu = floor(2^64 / q). Works for any modulus below 2^31 (no
+ * congruence restrictions), at the highest hardware cost of the four
+ * designs. mul() is mulModBarrett (modarith.h), the same multiply the
+ * software element-wise products run.
  */
 class BarrettMultiplier : public ModMultiplier
 {

@@ -1,5 +1,7 @@
 #include "poly/ntt.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/error.h"
 #include "modular/modarith.h"
@@ -26,6 +28,9 @@ NttTables::NttTables(uint32_t n, uint32_t q) : n_(n), q_(q)
     omegaInv_ = invMod(omega_, q);
     nInv_ = invMod(n, q);
     buildTwiddles();
+    bitRev_.resize(n_);
+    for (uint32_t i = 0; i < n_; ++i)
+        bitRev_[i] = bitReverse(i, logN_);
 }
 
 void
@@ -81,7 +86,10 @@ NttTables::omegaPow(uint64_t e) const
 
 namespace {
 
-/** In-place bit-reversal permutation of a power-of-two-length span. */
+/**
+ * In-place bit-reversal permutation of a power-of-two-length span,
+ * one bitReverse per index: the strict reference path's permutation.
+ */
 void
 bitReversePermute(std::span<uint32_t> a)
 {
@@ -94,39 +102,182 @@ bitReversePermute(std::span<uint32_t> a)
     }
 }
 
+// The lazy kernels below are compiled from one source twice, for AVX2
+// and for baseline x86-64, and the dynamic loader binds each call to
+// the clone the CPU supports (an ifunc, hence the glibc guard). Both
+// clones run the same exact 32-bit integer arithmetic, so their
+// outputs are bit-identical; only the vector width differs.
+// ThreadSanitizer instruments the ifunc resolver itself, which the
+// loader runs before the sanitizer runtime is up (every gcc 12 TSan
+// binary crashed at load), so TSan builds compile the baseline only.
+#if defined(__SANITIZE_THREAD__)
+#define F1_TSAN_BUILD
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define F1_TSAN_BUILD
+#endif
+#endif
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(F1_TSAN_BUILD) \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define F1_LIMB_KERNEL __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef F1_LIMB_KERNEL
+#define F1_LIMB_KERNEL
+#endif
+
+/**
+ * Forward Harvey butterfly on one (lo, hi) pair with twiddle w: lo is
+ * reduced into [0, 2q) by a branch-free conditional subtraction
+ * (x - 2q wraps above x when x < 2q, so the min keeps x), hi is
+ * multiplied lazily into [0, 2q), and the outputs x+t / x-t+2q land
+ * back in [0, 4q).
+ */
+inline void
+forwardButterfly(uint32_t &lo, uint32_t &hi, uint32_t w, uint32_t wPre,
+                 uint32_t q)
+{
+    const uint32_t twoQ = 2 * q;
+    const uint32_t x = std::min(lo, lo - twoQ);
+    const uint32_t t = mulModShoupLazy(hi, w, wPre, q);
+    lo = addLazy(x, t);
+    hi = subLazy(x, t, twoQ);
+}
+
+/** Gentleman-Sande butterfly: [0, 2q) in, [0, 2q) out. */
+inline void
+inverseButterfly(uint32_t &lo, uint32_t &hi, uint32_t w, uint32_t wPre,
+                 uint32_t q)
+{
+    const uint32_t twoQ = 2 * q;
+    const uint32_t s = addLazy(lo, hi); // [0, 4q)
+    const uint32_t d = subLazy(lo, hi, twoQ);
+    lo = std::min(s, s - twoQ);
+    hi = mulModShoupLazy(d, w, wPre, q);
+}
+
+/**
+ * One block of a stage at least a vector wide: lo[j] pairs with hi[j]
+ * under twiddle tw[j], and the loop vectorizes within the block. The
+ * halves never overlap, hence __restrict.
+ */
+template <auto Butterfly>
+inline void
+wideBlock(uint32_t *__restrict lo, uint32_t *__restrict hi,
+          const uint32_t *__restrict tw, const uint32_t *__restrict twPre,
+          uint32_t half, uint32_t q)
+{
+    for (uint32_t j = 0; j < half; ++j)
+        Butterfly(lo[j], hi[j], tw[j], twPre[j], q);
+}
+
+/**
+ * A whole stage whose blocks (2 kHalf words) are narrower than a
+ * vector. kHalf is a compile-time constant, so the inner loop unrolls
+ * and the block loop vectorizes across blocks; looping block by block
+ * instead cost 7x more per butterfly at kHalf = 1.
+ */
+template <uint32_t kHalf, auto Butterfly>
+inline void
+narrowStage(uint32_t *__restrict a, uint32_t len,
+            const uint32_t *__restrict tw,
+            const uint32_t *__restrict twPre, uint32_t q)
+{
+    for (uint32_t k = 0; k < len / (2 * kHalf); ++k)
+        for (uint32_t j = 0; j < kHalf; ++j)
+            Butterfly(a[2 * kHalf * k + j], a[2 * kHalf * k + kHalf + j],
+                      tw[kHalf + j], twPre[kHalf + j], q);
+}
+
+/**
+ * Lazy Cooley-Tukey stages over a bit-reversed span of length len,
+ * then the correction pass: [0, 4q) in, [0, q) out.
+ */
+F1_LIMB_KERNEL void
+forwardStages(uint32_t *a, uint32_t len, const uint32_t *tw,
+              const uint32_t *twPre, uint32_t q)
+{
+    if (len >= 2)
+        narrowStage<1, forwardButterfly>(a, len, tw, twPre, q);
+    if (len >= 4)
+        narrowStage<2, forwardButterfly>(a, len, tw, twPre, q);
+    if (len >= 8)
+        narrowStage<4, forwardButterfly>(a, len, tw, twPre, q);
+    for (uint32_t half = 8; half < len; half <<= 1)
+        for (uint32_t base = 0; base < len; base += 2 * half)
+            wideBlock<forwardButterfly>(a + base, a + base + half,
+                                        tw + half, twPre + half, half, q);
+    for (uint32_t i = 0; i < len; ++i)
+        a[i] = lazyCorrect(a[i], q, 2 * q);
+}
+
+/** Lazy Gentleman-Sande stages; output in bit-reversed order. */
+F1_LIMB_KERNEL void
+inverseStages(uint32_t *a, uint32_t len, const uint32_t *tw,
+              const uint32_t *twPre, uint32_t q)
+{
+    for (uint32_t half = len >> 1; half >= 8; half >>= 1)
+        for (uint32_t base = 0; base < len; base += 2 * half)
+            wideBlock<inverseButterfly>(a + base, a + base + half,
+                                        tw + half, twPre + half, half, q);
+    if (len >= 8)
+        narrowStage<4, inverseButterfly>(a, len, tw, twPre, q);
+    if (len >= 4)
+        narrowStage<2, inverseButterfly>(a, len, tw, twPre, q);
+    if (len >= 2)
+        narrowStage<1, inverseButterfly>(a, len, tw, twPre, q);
+}
+
+/** a[i] * w[i] mod q lazily into [0, 2q): the ψ-power pass. */
+F1_LIMB_KERNEL void
+mulPointwiseLazy(uint32_t *__restrict a, const uint32_t *__restrict w,
+                 const uint32_t *__restrict wPre, uint32_t len, uint32_t q)
+{
+    for (uint32_t i = 0; i < len; ++i)
+        a[i] = mulModShoupLazy(a[i], w[i], wPre[i], q);
+}
+
+/** a[i] * w[i] mod q into [0, q): the ψ^-i/n pass. */
+F1_LIMB_KERNEL void
+mulPointwise(uint32_t *__restrict a, const uint32_t *__restrict w,
+             const uint32_t *__restrict wPre, uint32_t len, uint32_t q)
+{
+    for (uint32_t i = 0; i < len; ++i)
+        a[i] = mulModShoup(a[i], w[i], wPre[i], q);
+}
+
 } // namespace
 
 /**
+ * Bit-reversal permutation of a span of length n >> shift through the
+ * precomputed table: bitRev_[i] >> shift reverses the low log2(len)
+ * bits of i < len, because the high `shift` bits of i are zero.
+ */
+void
+NttTables::permute(std::span<uint32_t> a) const
+{
+    const uint32_t len = static_cast<uint32_t>(a.size());
+    const uint32_t shift = logN_ - log2Exact(len);
+    const uint32_t *rev = bitRev_.data();
+    for (uint32_t i = 0; i < len; ++i) {
+        const uint32_t j = rev[i] >> shift;
+        if (i < j)
+            std::swap(a[i], a[j]);
+    }
+}
+
+/**
  * Lazy Cooley-Tukey (decimation-in-time) forward stages: bit-reversal
- * followed by Harvey butterflies. Accepts values in [0, 4q); leaves
- * values in [0, 4q). Per butterfly: the upper input is conditionally
- * reduced into [0, 2q), the lower is multiplied lazily into [0, 2q),
- * and the outputs x+t / x-t+2q land back in [0, 4q).
+ * followed by Harvey butterflies and the correction pass. Accepts
+ * values in [0, 4q); leaves values in [0, q).
  */
 void
 NttTables::forwardStagesLazy(std::span<uint32_t> a) const
 {
-    const uint32_t len = static_cast<uint32_t>(a.size());
-    const uint32_t q = q_;
-    const uint32_t twoQ = 2 * q;
-    bitReversePermute(a);
-    for (uint32_t half = 1; half < len; half <<= 1) {
-        const uint32_t *tw = tw_.data() + half;
-        const uint32_t *twPre = twPre_.data() + half;
-        for (uint32_t base = 0; base < len; base += 2 * half) {
-            uint32_t *lo = a.data() + base;
-            uint32_t *hi = lo + half;
-            for (uint32_t j = 0; j < half; ++j) {
-                uint32_t x = lo[j];
-                if (x >= twoQ)
-                    x -= twoQ;
-                const uint32_t t =
-                    mulModShoupLazy(hi[j], tw[j], twPre[j], q);
-                lo[j] = addLazy(x, t);
-                hi[j] = subLazy(x, t, twoQ);
-            }
-        }
-    }
+    permute(a);
+    forwardStages(a.data(), static_cast<uint32_t>(a.size()), tw_.data(),
+                  twPre_.data(), q_);
 }
 
 /**
@@ -141,28 +292,9 @@ NttTables::forwardStagesLazy(std::span<uint32_t> a) const
 void
 NttTables::inverseStagesLazy(std::span<uint32_t> a) const
 {
-    const uint32_t len = static_cast<uint32_t>(a.size());
-    const uint32_t q = q_;
-    const uint32_t twoQ = 2 * q;
-    for (uint32_t half = len >> 1; half >= 1; half >>= 1) {
-        const uint32_t *tw = twInv_.data() + half;
-        const uint32_t *twPre = twInvPre_.data() + half;
-        for (uint32_t base = 0; base < len; base += 2 * half) {
-            uint32_t *lo = a.data() + base;
-            uint32_t *hi = lo + half;
-            for (uint32_t j = 0; j < half; ++j) {
-                const uint32_t u = lo[j];
-                const uint32_t v = hi[j];
-                uint32_t s = addLazy(u, v); // [0, 4q)
-                if (s >= twoQ)
-                    s -= twoQ;
-                lo[j] = s;
-                hi[j] = mulModShoupLazy(subLazy(u, v, twoQ),
-                                        tw[j], twPre[j], q);
-            }
-        }
-    }
-    bitReversePermute(a);
+    inverseStages(a.data(), static_cast<uint32_t>(a.size()),
+                  twInv_.data(), twInvPre_.data(), q_);
+    permute(a);
 }
 
 void
@@ -171,9 +303,6 @@ NttTables::cyclicForward(std::span<uint32_t> a) const
     const uint32_t len = static_cast<uint32_t>(a.size());
     F1_CHECK(isPowerOfTwo(len) && len <= n_, "bad cyclic NTT length");
     forwardStagesLazy(a);
-    const uint32_t twoQ = 2 * q_;
-    for (auto &x : a)
-        x = lazyCorrect(x, q_, twoQ);
 }
 
 void
@@ -195,12 +324,8 @@ NttTables::forward(std::span<uint32_t> a) const
     // Per-job telemetry: one TLS null check when profiling is off.
     obs::profileAdd(obs::ProfileCounter::kNttForward);
     // ψ-powers pre-multiplication, lazily into [0, 2q).
-    for (uint32_t i = 0; i < n_; ++i)
-        a[i] = mulModShoupLazy(a[i], psiPow_[i], psiPowPre_[i], q_);
+    mulPointwiseLazy(a.data(), psiPow_.data(), psiPowPre_.data(), n_, q_);
     forwardStagesLazy(a);
-    const uint32_t twoQ = 2 * q_;
-    for (auto &x : a)
-        x = lazyCorrect(x, q_, twoQ);
 }
 
 void
@@ -212,8 +337,7 @@ NttTables::inverse(std::span<uint32_t> a) const
     // pass (the fused table folds the 1/n in; it also serves as the
     // lazy pipeline's correction pass).
     inverseStagesLazy(a);
-    for (uint32_t i = 0; i < n_; ++i)
-        a[i] = mulModShoup(a[i], psiInvN_[i], psiInvNPre_[i], q_);
+    mulPointwise(a.data(), psiInvN_.data(), psiInvNPre_.data(), n_, q_);
 }
 
 void

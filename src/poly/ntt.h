@@ -36,6 +36,9 @@ namespace f1 {
  * values stay in [0, 4q) through the forward stages and [0, 2q)
  * through the inverse stages, with a single correction pass at the
  * end (folded into the ψ^-i/N scaling for the negacyclic inverse).
+ * They permute through a bit-reversal table built at construction,
+ * and their loops are compiled for AVX2 and for baseline x86-64, the
+ * loader picking one per CPU (see ntt.cpp); both give the same bits.
  * Inputs must be reduced ([0, q)); outputs are reduced. The *Strict
  * variants run the original fully-reduced butterflies and exist as
  * the golden reference for equivalence tests and the bench_ntt_lazy
@@ -81,6 +84,7 @@ class NttTables
 
   private:
     void buildTwiddles();
+    void permute(std::span<uint32_t> a) const;
     void forwardStagesLazy(std::span<uint32_t> a) const;
     void inverseStagesLazy(std::span<uint32_t> a) const;
 
@@ -102,6 +106,9 @@ class NttTables
     std::vector<uint32_t> psiInvN_, psiInvNPre_;
     // Per-length inverse scalings for cyclicInverse.
     std::vector<uint32_t> lenInv_, lenInvPre_; // indexed by log2(len)
+    // bitRev_[i] = i with its logN_ low bits reversed; a length
+    // n >> s transform uses bitRev_[i] >> s.
+    std::vector<uint32_t> bitRev_;
 };
 
 /** O(n^2) reference negacyclic transform; for tests only. */

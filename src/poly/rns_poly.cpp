@@ -38,13 +38,10 @@ RnsPoly::fromSigned(const PolyContext *ctx, size_t levels,
     RnsPoly p(ctx, levels, Domain::kCoeff);
     parallelForLimbs(levels, [&](size_t i) {
         const uint32_t q = ctx->modulus(i);
+        const uint64_t mu = barrettPrecompute(q);
         auto res = p.residue(i);
-        for (size_t j = 0; j < coeffs.size(); ++j) {
-            int64_t c = coeffs[j] % (int64_t)q;
-            if (c < 0)
-                c += q;
-            res[j] = static_cast<uint32_t>(c);
-        }
+        for (size_t j = 0; j < coeffs.size(); ++j)
+            res[j] = reduceSignedBarrett(coeffs[j], q, mu);
         if (target == Domain::kNtt)
             ctx->tables(i).forward(res);
     });
@@ -151,10 +148,11 @@ RnsPoly::mulEq(const RnsPoly &o)
     F1_CHECK(levels_ == o.levels_, "level mismatch in mulEq");
     parallelForLimbs(levels_, [&](size_t i) {
         const uint32_t q = ctx_->modulus(i);
+        const uint64_t mu = barrettPrecompute(q);
         auto a = residue(i);
         auto b = o.residue(i);
         for (size_t j = 0; j < a.size(); ++j)
-            a[j] = mulMod(a[j], b[j], q);
+            a[j] = mulModBarrett(a[j], b[j], q, mu);
     });
     return *this;
 }

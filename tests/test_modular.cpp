@@ -111,6 +111,100 @@ TEST(ModArith, ShoupMatchesReference)
     }
 }
 
+/**
+ * Barrett multiply and signed reduction against the division-based
+ * references, on primes from 17 bits up to kMaxModulusBits (31) plus
+ * 2^31 - 1, the largest modulus the 32-bit remainder must hold.
+ */
+class BarrettTest : public ::testing::TestWithParam<uint32_t>
+{
+  protected:
+    static uint32_t
+    refSigned(int64_t x, uint32_t q)
+    {
+        return static_cast<uint32_t>(((x % q) + q) % q);
+    }
+};
+
+TEST_P(BarrettTest, MultiplyMatchesMulMod)
+{
+    const uint32_t q = GetParam();
+    const uint64_t mu = barrettPrecompute(q);
+    const uint32_t edges[] = {0u, 1u, q - 1};
+    for (uint32_t a : edges)
+        for (uint32_t b : edges)
+            EXPECT_EQ(mulModBarrett(a, b, q, mu), mulMod(a, b, q))
+                << "a=" << a << " b=" << b << " q=" << q;
+    Rng rng(q);
+    for (int it = 0; it < 100000; ++it) {
+        const uint32_t a = static_cast<uint32_t>(rng.uniform(q));
+        const uint32_t b = static_cast<uint32_t>(rng.uniform(q));
+        ASSERT_EQ(mulModBarrett(a, b, q, mu), mulMod(a, b, q))
+            << "a=" << a << " b=" << b << " q=" << q;
+    }
+}
+
+TEST_P(BarrettTest, MultiplyTakesUnreducedOperands)
+{
+    // Basis extension multiplies a residue of one prime by a constant
+    // of another without reducing it first: any 32-bit operand works.
+    const uint32_t q = GetParam();
+    const uint64_t mu = barrettPrecompute(q);
+    const uint32_t edges[] = {q, 2 * q - 1, UINT32_MAX};
+    for (uint32_t a : edges)
+        for (uint32_t b : edges)
+            EXPECT_EQ(mulModBarrett(a, b, q, mu), refMul(a, b, q))
+                << "a=" << a << " b=" << b << " q=" << q;
+    Rng rng(q + 1);
+    for (int it = 0; it < 100000; ++it) {
+        const uint32_t a = static_cast<uint32_t>(rng.next());
+        const uint32_t b = static_cast<uint32_t>(rng.next());
+        ASSERT_EQ(mulModBarrett(a, b, q, mu), refMul(a, b, q))
+            << "a=" << a << " b=" << b << " q=" << q;
+    }
+}
+
+TEST_P(BarrettTest, SignedReductionMatchesRemainder)
+{
+    const uint32_t q = GetParam();
+    const uint64_t mu = barrettPrecompute(q);
+    const int64_t iq = q;
+    // Centered lifts of any library residue lie in [-2^30, 2^30];
+    // fromSigned also receives products d * t up to about 2^62.
+    const int64_t lift = int64_t(1) << 30;
+    const int64_t big = int64_t(1) << 62;
+    const int64_t edges[] = {
+        0,       1,        -1,        iq - 1,    -(iq - 1),
+        iq,      -iq,      iq + 1,    -iq - 1,   iq / 2,
+        -iq / 2, lift,     -lift,     big,       -big,
+        big - 1, -big + 1, INT64_MAX, INT64_MIN,
+    };
+    for (int64_t x : edges)
+        EXPECT_EQ(reduceSignedBarrett(x, q, mu), refSigned(x, q))
+            << "x=" << x << " q=" << q;
+    Rng rng(q + 2);
+    for (int it = 0; it < 100000; ++it) {
+        const int64_t c =
+            static_cast<int64_t>(rng.uniform(2 * lift + 1)) - lift;
+        ASSERT_EQ(reduceSignedBarrett(c, q, mu), refSigned(c, q))
+            << "x=" << c << " q=" << q;
+        const int64_t w =
+            static_cast<int64_t>(rng.uniform(uint64_t(2) * big + 1)) -
+            big;
+        ASSERT_EQ(reduceSignedBarrett(w, q, mu), refSigned(w, q))
+            << "x=" << w << " q=" << q;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, BarrettTest, ::testing::ValuesIn([] {
+        std::vector<uint32_t> qs;
+        for (uint32_t bits : {17u, 20u, 28u, 30u, 31u})
+            qs.push_back(generateNttPrimes(1, bits, 1024)[0]);
+        qs.push_back((1u << kMaxModulusBits) - 1); // 2^31 - 1, prime
+        return qs;
+    }()));
+
 TEST(Primes, MillerRabinKnownValues)
 {
     EXPECT_TRUE(isPrime(2));

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "common/rng.h"
 #include "fhe/fhe_context.h"
 #include "modular/modarith.h"
@@ -265,29 +268,46 @@ TEST(NttCyclicShort, LinearityAndRoundTripProperty)
 class NttLazyStrict : public ::testing::Test
 {
   protected:
-    /** Lazy and strict paths must agree transform-by-transform. */
+    /**
+     * Lazy and strict paths must agree transform-by-transform. The
+     * lazy operands live `offset` words into their buffer, so an odd
+     * offset puts every vector load of the stage loops off alignment.
+     */
     static void
-    expectEquivalent(const NttTables &t, Rng &rng)
+    expectEquivalent(const NttTables &t, Rng &rng, size_t offset = 0)
     {
         const uint32_t n = t.n();
         const uint32_t q = t.q();
-        auto a = randomPoly(n, q, rng);
-        auto b = a;
+        std::vector<uint32_t> buf(offset + n);
+        std::span<uint32_t> a(buf.data() + offset, n);
+        auto b = randomPoly(n, q, rng);
+        std::copy(b.begin(), b.end(), a.begin());
         t.forward(a);
         t.forwardStrict(b);
-        EXPECT_EQ(a, b) << "forward, q=" << q;
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+            << "forward, q=" << q << " offset=" << offset;
         t.inverse(a);
         t.inverseStrict(b);
-        EXPECT_EQ(a, b) << "inverse, q=" << q;
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+            << "inverse, q=" << q << " offset=" << offset;
 
-        auto c = randomPoly(n, q, rng);
-        auto d = c;
-        t.cyclicForward(c);
-        t.cyclicForwardStrict(d);
-        EXPECT_EQ(c, d) << "cyclicForward, q=" << q;
-        t.cyclicInverse(c);
-        t.cyclicInverseStrict(d);
-        EXPECT_EQ(c, d) << "cyclicInverse, q=" << q;
+        // Cyclic transforms at the full length and at sub-lengths,
+        // which read the permutation table through a shift.
+        for (uint32_t len = n; len >= 2; len >>= 3) {
+            std::span<uint32_t> c(buf.data() + offset, len);
+            auto d = randomPoly(len, q, rng);
+            std::copy(d.begin(), d.end(), c.begin());
+            t.cyclicForward(c);
+            t.cyclicForwardStrict(d);
+            EXPECT_TRUE(std::equal(c.begin(), c.end(), d.begin()))
+                << "cyclicForward, q=" << q << " len=" << len
+                << " offset=" << offset;
+            t.cyclicInverse(c);
+            t.cyclicInverseStrict(d);
+            EXPECT_TRUE(std::equal(c.begin(), c.end(), d.begin()))
+                << "cyclicInverse, q=" << q << " len=" << len
+                << " offset=" << offset;
+        }
     }
 };
 
@@ -322,6 +342,32 @@ TEST_F(NttLazyStrict, EquivalentAtHeadroomBoundPrime)
         Rng rng(n);
         for (int draw = 0; draw < 4; ++draw)
             expectEquivalent(t, rng);
+    }
+}
+
+TEST_F(NttLazyStrict, EquivalentAtBootstrapRing)
+{
+    // N = 16384 is the bootstrap workload's ring, the largest any
+    // workload uses: the full-size permutation table.
+    const uint32_t n = 16384;
+    for (uint32_t bits : {28u, 30u}) {
+        NttTables t(n, generateNttPrimes(1, bits, n)[0]);
+        Rng rng(n + bits);
+        expectEquivalent(t, rng);
+    }
+}
+
+TEST_F(NttLazyStrict, EquivalentOnOddWordOffsetSpans)
+{
+    // Residues are spans into larger buffers; one that starts an odd
+    // number of words in misaligns the AVX2 clone's loads.
+    for (uint32_t n : {128u, 4096u, 16384u}) {
+        NttTables t(n, generateNttPrimes(1, 30, n)[0]);
+        Rng rng(3 * n);
+        for (size_t offset : {1u, 3u, 7u}) {
+            SCOPED_TRACE("n=" + std::to_string(n));
+            expectEquivalent(t, rng, offset);
+        }
     }
 }
 
