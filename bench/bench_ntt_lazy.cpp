@@ -36,6 +36,7 @@
 #include "fhe/keyswitch.h"
 #include "modular/modarith.h"
 #include "modular/primes.h"
+#include "obs/metrics.h"
 #include "poly/ntt.h"
 #include "poly/rns_poly.h"
 
@@ -203,15 +204,19 @@ runKeySwitchArena(KeySwitchVariant variant, const char *name,
     auto u = sw.apply(x, hint, p.plainModulus);
     u = sw.apply(x, hint, p.plainModulus);
 
-    ScratchArena::resetStats();
+    auto &reg = obs::MetricsRegistry::global();
+    const obs::Counter &checkouts = reg.counter("scratch.checkouts");
+    const obs::Counter &heapAllocs = reg.counter("scratch.heap_allocs");
+    const uint64_t checkouts0 = checkouts.value();
+    const uint64_t heapAllocs0 = heapAllocs.value();
     const double t0 = nowMs();
     for (size_t r = 0; r < applies; ++r)
         u = sw.apply(x, hint, p.plainModulus);
     const double elapsed = nowMs() - t0;
-    const auto st = ScratchArena::stats();
     return {name, applies,
-            static_cast<double>(st.checkouts) / applies,
-            st.heapAllocs, elapsed / applies};
+            static_cast<double>(checkouts.value() - checkouts0) /
+                applies,
+            heapAllocs.value() - heapAllocs0, elapsed / applies};
 }
 
 int

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "common/parallel.h"
 #include "compiler/compiler.h"
 #include "runtime/op_graph_executor.h"
 #include "workloads/workloads.h"
@@ -23,16 +22,14 @@ inline CompileResult
 simulate(const Workload &w, const F1Config &cfg,
          const CompileOptions &opt = {})
 {
-    setGlobalThreadCount(cfg.hostThreads);
     return compileProgram(w.program, cfg, opt);
 }
 
 /** Runs the CPU software baseline (default inputs and policy);
  *  returns the timed execute phase in milliseconds. */
 inline double
-cpuBaselineMs(const Workload &w, const F1Config &cfg = {})
+cpuBaselineMs(const Workload &w)
 {
-    setGlobalThreadCount(cfg.hostThreads);
     FheParams params;
     params.n = w.n;
     params.maxLevel = w.maxLevel;

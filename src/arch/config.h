@@ -47,18 +47,6 @@ struct F1Config
     uint32_t lowThroughputNttDivisor = 1;
     uint32_t lowThroughputAutDivisor = 1;
 
-    /**
-     * Host-execution knob (not modeled hardware): software threads the
-     * functional layer uses to process residue polynomials in parallel,
-     * mirroring the one-vector-unit-per-residue mapping (§2.3, §4).
-     * 0 = auto (F1_THREADS env override if set, else hardware
-     * concurrency); 1 = deterministic serial fallback. Results are
-     * bit-identical for every setting. Applied via
-     * setGlobalThreadCount() (common/parallel.h) by the bench/sim
-     * entry points.
-     */
-    uint32_t hostThreads = 0;
-
     size_t scratchBytes() const
     {
         return (size_t)scratchBanks * bankMB * 1024 * 1024;

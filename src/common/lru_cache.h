@@ -20,12 +20,14 @@
  * because every factory here is deterministic per key, so the racing
  * values are identical.
  *
- * Observability: a cache constructed with a name registers its
- * hit/miss/eviction counters as gauges in the metrics registry
- * ("cache.<name>.hits" etc.); same-name instances are SUMMED at
- * snapshot, so per-instance stats() stays exact (tests rely on that)
- * while the registry aggregates fleet-wide. Hits and misses also feed
- * the active profile collector for per-job attribution.
+ * Observability: a cache constructed with a name writes
+ * "cache.<name>.{hits,misses,evictions}" counters and a
+ * "cache.<name>.size" gauge in the metrics registry, where its
+ * counts change. Same-name instances share those metrics: totals
+ * keep a destroyed cache's hits, and the size gauge sums the live
+ * caches' entries (a cache withdraws its entries when it is cleared
+ * or destroyed). Unnamed caches record nothing. Hits and misses also
+ * feed the active profile collector for per-job attribution.
  */
 #ifndef F1_COMMON_LRU_CACHE_H
 #define F1_COMMON_LRU_CACHE_H
@@ -43,48 +45,32 @@
 
 namespace f1 {
 
-struct CacheStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits + misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(total);
-    }
-};
-
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache
 {
   public:
     /**
      * @param capacity max entries; 0 = unbounded (never evicts).
-     * @param name     non-empty registers this instance's counters as
-     *                 "cache.<name>.{hits,misses,evictions,size}"
-     *                 gauges in the global metrics registry.
+     * @param name     non-empty records this instance into the
+     *                 global metrics registry's
+     *                 "cache.<name>.{hits,misses,evictions,size}".
      */
     explicit LruCache(size_t capacity = 0, const std::string &name = {})
         : capacity_(capacity)
     {
         if (!name.empty()) {
             auto &reg = obs::MetricsRegistry::global();
-            gauges_[0] = reg.gauge("cache." + name + ".hits",
-                                   [this] { return stats().hits; });
-            gauges_[1] = reg.gauge("cache." + name + ".misses",
-                                   [this] { return stats().misses; });
-            gauges_[2] =
-                reg.gauge("cache." + name + ".evictions",
-                          [this] { return stats().evictions; });
-            gauges_[3] = reg.gauge("cache." + name + ".size", [this] {
-                return static_cast<uint64_t>(size());
-            });
+            hits_ = &reg.counter("cache." + name + ".hits");
+            misses_ = &reg.counter("cache." + name + ".misses");
+            evictions_ = &reg.counter("cache." + name + ".evictions");
+            size_ = &reg.gauge("cache." + name + ".size");
         }
+    }
+
+    ~LruCache()
+    {
+        if (size_)
+            size_->sub(map_.size());
     }
 
     LruCache(const LruCache &) = delete;
@@ -97,12 +83,10 @@ class LruCache
         std::lock_guard<std::mutex> lock(m_);
         auto it = map_.find(key);
         if (it == map_.end()) {
-            ++stats_.misses;
-            obs::profileAdd(obs::ProfileCounter::kCacheMiss);
+            countMiss();
             return nullptr;
         }
-        ++stats_.hits;
-        obs::profileAdd(obs::ProfileCounter::kCacheHit);
+        countHit();
         touch(it);
         return it->second.value;
     }
@@ -130,6 +114,8 @@ class LruCache
         }
         lru_.push_front(key);
         map_.emplace(key, Entry{std::move(value), lru_.begin()});
+        if (size_)
+            size_->add();
         evictOverflow();
         return map_.find(key)->second.value;
     }
@@ -149,13 +135,11 @@ class LruCache
             std::lock_guard<std::mutex> lock(m_);
             auto it = map_.find(key);
             if (it != map_.end()) {
-                ++stats_.hits;
-                obs::profileAdd(obs::ProfileCounter::kCacheHit);
+                countHit();
                 touch(it);
                 return it->second.value;
             }
-            ++stats_.misses;
-            obs::profileAdd(obs::ProfileCounter::kCacheMiss);
+            countMiss();
         }
         return putShared(key, std::make_shared<const V>(make()));
     }
@@ -178,20 +162,13 @@ class LruCache
         evictOverflow();
     }
 
-    /** Deprecated as an aggregation point: per-instance shim; prefer
-     *  the registry's "cache.<name>.*" gauges for fleet-wide totals. */
-    CacheStats
-    stats() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return stats_;
-    }
-
     /** Drops all entries (outstanding shared_ptrs stay valid). */
     void
     clear()
     {
         std::lock_guard<std::mutex> lock(m_);
+        if (size_)
+            size_->sub(map_.size());
         map_.clear();
         lru_.clear();
     }
@@ -217,21 +194,39 @@ class LruCache
         while (capacity_ != 0 && map_.size() > capacity_) {
             map_.erase(lru_.back());
             lru_.pop_back();
-            ++stats_.evictions;
+            if (evictions_) {
+                evictions_->inc();
+                size_->sub();
+            }
         }
+    }
+
+    void
+    countHit()
+    {
+        if (hits_)
+            hits_->inc();
+        obs::profileAdd(obs::ProfileCounter::kCacheHit);
+    }
+
+    void
+    countMiss()
+    {
+        if (misses_)
+            misses_->inc();
+        obs::profileAdd(obs::ProfileCounter::kCacheMiss);
     }
 
     mutable std::mutex m_;
     size_t capacity_;
     std::list<K> lru_; //!< front = most recently used
     Map map_;
-    CacheStats stats_;
 
-    // Declared LAST so they unregister FIRST during destruction:
-    // snapshot() holds the registry lock while evaluating gauges, and
-    // ~GaugeHandle takes that lock, so after these members are gone
-    // no snapshot can reach the dying cache.
-    obs::GaugeHandle gauges_[4];
+    // Registry metrics of a named cache; all null for an unnamed one.
+    obs::Counter *hits_ = nullptr;
+    obs::Counter *misses_ = nullptr;
+    obs::Counter *evictions_ = nullptr;
+    obs::Gauge *size_ = nullptr;
 };
 
 } // namespace f1

@@ -24,29 +24,27 @@ struct ThreadCache
 thread_local ThreadCache t_cache;
 
 /**
- * The arena's process-wide counters now live in the metrics registry
- * ("scratch.*" — see README's metrics catalog); ScratchArena::stats()
- * is a thin shim reading them back. Resolved once: an increment is
- * the same relaxed fetch_add the old bespoke atomics cost.
+ * The arena's process-wide metrics ("scratch.*" — see README's metrics
+ * catalog). Resolved once: an update is one relaxed atomic op.
  */
-struct ScratchCounters
+struct ScratchMetrics
 {
     obs::Counter &checkouts;
     obs::Counter &heapAllocs;
     obs::Counter &heapWords;
-    obs::Counter &live;
+    obs::Gauge &live;
 
-    static ScratchCounters &
+    static ScratchMetrics &
     get()
     {
-        static ScratchCounters c{
-            obs::MetricsRegistry::global().counter("scratch.checkouts"),
-            obs::MetricsRegistry::global().counter(
-                "scratch.heap_allocs"),
-            obs::MetricsRegistry::global().counter("scratch.heap_words"),
-            obs::MetricsRegistry::global().counter("scratch.live"),
+        auto &reg = obs::MetricsRegistry::global();
+        static ScratchMetrics m{
+            reg.counter("scratch.checkouts"),
+            reg.counter("scratch.heap_allocs"),
+            reg.counter("scratch.heap_words"),
+            reg.gauge("scratch.live"),
         };
-        return c;
+        return m;
     }
 };
 
@@ -69,9 +67,9 @@ namespace detail {
 ScratchBlock *
 scratchAcquire(size_t words)
 {
-    ScratchCounters &ctr = ScratchCounters::get();
+    ScratchMetrics &ctr = ScratchMetrics::get();
     ctr.checkouts.inc();
-    ctr.live.inc();
+    ctr.live.add();
 
     // Best fit among free blocks: smallest capacity that still holds
     // the request, so an n-sized checkout does not pin a limb×n block.
@@ -105,7 +103,7 @@ scratchRelease(ScratchBlock *block)
     block->inUse = false;
     obs::profileScratchRelease(
         static_cast<int64_t>(block->words.size()));
-    ScratchCounters::get().live.dec();
+    ScratchMetrics::get().live.sub();
 }
 
 } // namespace detail
@@ -128,23 +126,6 @@ ScratchArena::i64(size_t count, bool zeroed)
     if (zeroed)
         std::fill_n(h.data(), count, int64_t{0});
     return h;
-}
-
-ScratchArena::Stats
-ScratchArena::stats()
-{
-    ScratchCounters &ctr = ScratchCounters::get();
-    return {ctr.checkouts.value(), ctr.heapAllocs.value(),
-            ctr.heapWords.value(), ctr.live.value()};
-}
-
-void
-ScratchArena::resetStats()
-{
-    ScratchCounters &ctr = ScratchCounters::get();
-    ctr.checkouts.store(0);
-    ctr.heapAllocs.store(0);
-    ctr.heapWords.store(0);
 }
 
 void

@@ -25,12 +25,14 @@
  *  - Handles may be moved (e.g. returned from a helper) but not
  *    copied; moving does not change the owning thread.
  *
- * Stats live in the process-wide metrics registry ("scratch.*"
- * counters, obs/metrics.h) so benchmarks and the serving layer read
- * them alongside every other metric; ScratchArena::stats() remains as
- * a thin shim (see bench_ntt_lazy and tests/test_scratch). When a
- * profile collector is installed (obs/profile.h), checkouts also feed
- * the per-job scratch high-water mark.
+ * Stats live in the process-wide metrics registry (obs/metrics.h),
+ * aggregated over all threads: "scratch.checkouts" (u32()/i64()
+ * calls), "scratch.heap_allocs" (blocks that hit the heap) and
+ * "scratch.heap_words" (uint64 words heap-allocated) are counters;
+ * "scratch.live" (handles outstanding) is a gauge, so a registry
+ * reset() with a handle out does not unbalance it. When a profile
+ * collector is installed (obs/profile.h), checkouts also feed the
+ * per-job scratch high-water mark.
  */
 #ifndef F1_COMMON_SCRATCH_H
 #define F1_COMMON_SCRATCH_H
@@ -59,15 +61,6 @@ void scratchRelease(ScratchBlock *block);
 class ScratchArena
 {
   public:
-    /** Process-wide counters, aggregated over all threads. */
-    struct Stats
-    {
-        uint64_t checkouts;   //!< total u32()/i64() calls
-        uint64_t heapAllocs;  //!< blocks that hit the heap (cold path)
-        uint64_t heapWords;   //!< total uint64 words heap-allocated
-        uint64_t live;        //!< handles currently outstanding
-    };
-
     /** RAII checkout of a count-element T buffer. */
     template <typename T> class Handle
     {
@@ -139,11 +132,6 @@ class ScratchArena
 
     static Handle<uint32_t> u32(size_t count, bool zeroed = false);
     static Handle<int64_t> i64(size_t count, bool zeroed = false);
-
-    /** Deprecated shim over the metrics registry's "scratch.*"
-     *  counters; prefer MetricsRegistry::global().snapshot(). */
-    static Stats stats();
-    static void resetStats(); //!< zeroes counters except live
 
     /**
      * Frees the calling thread's cached blocks (all must be checked

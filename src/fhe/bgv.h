@@ -138,10 +138,8 @@ class BgvScheme
     std::shared_ptr<const KeySwitchHint> galoisHintShared(uint64_t g,
                                                           size_t level);
 
-    /** Hit/miss/eviction counters of the hint cache. */
-    CacheStats hintCacheStats() const { return hints_.stats(); }
-
-    /** Caps the hint cache (0 = unbounded, the default). */
+    /** Caps the hint cache (0 = unbounded, the default). Its counts
+     *  are the registry's cache.bgv_hints.* metrics. */
     void setHintCacheCapacity(size_t cap) { hints_.setCapacity(cap); }
 
   private:

@@ -138,7 +138,6 @@ class CkksScheme
     std::shared_ptr<const KeySwitchHint> galoisHintShared(uint64_t g,
                                                           size_t level);
 
-    CacheStats hintCacheStats() const { return hints_.stats(); }
     void setHintCacheCapacity(size_t cap) { hints_.setCapacity(cap); }
 
   private:

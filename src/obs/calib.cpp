@@ -35,28 +35,13 @@ ScheduleCalibration::record(size_t kind, const char *name,
     Kind &k = kinds_[kind];
     std::lock_guard<std::mutex> lock(k.m);
     if (k.name == nullptr) {
-        k.name = name;
-        // Gauge registration takes the registry lock while holding the
-        // kind mutex; that order is acyclic because gauge callbacks
-        // (run under the registry lock) only read atomics.
         MetricsRegistry &reg = MetricsRegistry::global();
         const std::string base = std::string("calib.") + name + ".";
-        k.gauges.push_back(reg.gauge(
-            base + "samples", [&k] {
-                return k.gSamples.load(std::memory_order_relaxed);
-            }));
-        k.gauges.push_back(reg.gauge(
-            base + "slope_milli", [&k] {
-                return k.gSlopeMilli.load(std::memory_order_relaxed);
-            }));
-        k.gauges.push_back(reg.gauge(
-            base + "intercept_ns", [&k] {
-                return k.gInterceptNs.load(std::memory_order_relaxed);
-            }));
-        k.gauges.push_back(reg.gauge(
-            base + "mae_ns", [&k] {
-                return k.gMaeNs.load(std::memory_order_relaxed);
-            }));
+        k.samples = &reg.gauge(base + "samples");
+        k.slopeMilli = &reg.gauge(base + "slope_milli");
+        k.interceptNs = &reg.gauge(base + "intercept_ns");
+        k.maeNs = &reg.gauge(base + "mae_ns");
+        k.name = name;
     }
     const double x = static_cast<double>(predictedCycle);
     const double y = static_cast<double>(measuredNs);
@@ -72,12 +57,10 @@ ScheduleCalibration::record(size_t kind, const char *name,
         k.ringNext = (k.ringNext + 1) % kRingCap;
     }
     const KindFit f = fit(k);
-    k.gSamples.store(f.samples, std::memory_order_relaxed);
-    k.gSlopeMilli.store(clampToGauge(f.slopeNsPerCycle * 1000.0),
-                        std::memory_order_relaxed);
-    k.gInterceptNs.store(clampToGauge(f.interceptNs),
-                         std::memory_order_relaxed);
-    k.gMaeNs.store(clampToGauge(f.maeNs), std::memory_order_relaxed);
+    k.samples->set(f.samples);
+    k.slopeMilli->set(clampToGauge(f.slopeNsPerCycle * 1000.0));
+    k.interceptNs->set(clampToGauge(f.interceptNs));
+    k.maeNs->set(clampToGauge(f.maeNs));
 }
 
 ScheduleCalibration::KindFit
@@ -150,10 +133,10 @@ ScheduleCalibration::reset()
         k.sx = k.sy = k.sxx = k.sxy = 0;
         k.ring.clear();
         k.ringNext = 0;
-        k.gSamples.store(0, std::memory_order_relaxed);
-        k.gSlopeMilli.store(0, std::memory_order_relaxed);
-        k.gInterceptNs.store(0, std::memory_order_relaxed);
-        k.gMaeNs.store(0, std::memory_order_relaxed);
+        if (k.name != nullptr)
+            for (Gauge *g : {k.samples, k.slopeMilli, k.interceptNs,
+                             k.maeNs})
+                g->set(0);
     }
 }
 

@@ -14,8 +14,11 @@
  * y = slope·x + intercept plus the mean absolute error of the fit
  * over a bounded recent window, and it publishes everything twice —
  * as registry gauges
- * (calib.<kind>.{samples,slope_milli,intercept_ns,mae_ns}) for
- * Prometheus, and as /calibration.json for humans.
+ * (calib.<kind>.{samples,slope_milli,intercept_ns,mae_ns}, set after
+ * each fit; signed fit values clamp at 0) for Prometheus, and as
+ * /calibration.json, with the signed doubles, for humans. A gauge
+ * holds its last writer's value, so instances fitting one kind
+ * overwrite each other's.
  *
  * Interpretation: slope_ns_per_cycle is the effective ns-per-cycle of
  * the schedule on this machine (the software runtime has no fixed
@@ -33,7 +36,6 @@
 #ifndef F1_OBS_CALIB_H
 #define F1_OBS_CALIB_H
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -92,8 +94,8 @@ class ScheduleCalibration
     /** The /calibration.json document. */
     std::string toJson() const;
 
-    /** Drops all samples and fits (bench epochs, tests). Registered
-     *  gauges stay registered and read the zeroed mirrors. */
+    /** Drops all samples and fits (bench epochs, tests) and sets the
+     *  kinds' gauges to 0. */
     void reset();
 
   private:
@@ -109,17 +111,11 @@ class ScheduleCalibration
         std::vector<std::pair<double, double>> ring;
         size_t ringNext = 0;
 
-        // Gauge mirrors: snapshot() holds the registry lock while
-        // evaluating gauges, so gauge callbacks must NOT take the
-        // kind mutex (lock-order rule from obs/metrics.h) — they read
-        // these relaxed atomics instead. Signed fit values are
-        // clamped at 0 for the uint64 gauge surface; /calibration.json
-        // carries the signed doubles.
-        std::atomic<uint64_t> gSamples{0};
-        std::atomic<uint64_t> gSlopeMilli{0};
-        std::atomic<uint64_t> gInterceptNs{0};
-        std::atomic<uint64_t> gMaeNs{0};
-        std::vector<GaugeHandle> gauges;
+        // Registry gauges, resolved with the name on first record.
+        Gauge *samples = nullptr;
+        Gauge *slopeMilli = nullptr;
+        Gauge *interceptNs = nullptr;
+        Gauge *maeNs = nullptr;
     };
 
     /** Least-squares slope and intercept over all of k's samples,

@@ -28,8 +28,7 @@ servingEventKindName(ServingEventKind kind)
 
 FlightRecorder::FlightRecorder(size_t capacity)
     : ring_(capacity),
-      droppedGauge_(MetricsRegistry::global().gauge(
-          "eventlog.dropped", [this] { return ring_.dropped(); }))
+      dropped_(MetricsRegistry::global().counter("eventlog.dropped"))
 {
 }
 
@@ -57,7 +56,8 @@ FlightRecorder::record(ServingEventKind kind, uint64_t jobId,
     w[4] = traceId;
     for (size_t i = 0; i < len; ++i)
         w[5 + i / 8] |= uint64_t(uint8_t(tenant[i])) << (8 * (i % 8));
-    ring_.push(w);
+    if (ring_.push(w) > ring_.capacity())
+        dropped_.inc(); // overwrote the oldest event
 }
 
 std::vector<ServingEvent>
@@ -65,21 +65,23 @@ FlightRecorder::dump() const
 {
     std::vector<ServingEvent> out;
     out.reserve(std::min<uint64_t>(recorded(), capacity()));
-    ring_.read(0, recorded(), [&](uint64_t seq, const auto &w) {
-        ServingEvent ev;
-        ev.seq = seq;
-        ev.jobId = w[0];
-        ev.fingerprint = w[1];
-        ev.tsMs = std::bit_cast<double>(w[2]);
-        ev.kind = ServingEventKind(uint8_t(w[3]));
-        ev.batchSize = uint32_t(w[3] >> 8);
-        ev.traceId = w[4];
-        ev.tenant.resize(
-            std::min<size_t>((w[3] >> 40) & 0xff, kTenantBytes));
-        for (size_t i = 0; i < ev.tenant.size(); ++i)
-            ev.tenant[i] = char(uint8_t(w[5 + i / 8] >> (8 * (i % 8))));
-        out.push_back(std::move(ev));
-    });
+    const uint64_t torn =
+        ring_.read(0, recorded(), [&](uint64_t seq, const auto &w) {
+            ServingEvent ev;
+            ev.seq = seq;
+            ev.jobId = w[0];
+            ev.fingerprint = w[1];
+            ev.tsMs = std::bit_cast<double>(w[2]);
+            ev.kind = ServingEventKind(uint8_t(w[3]));
+            ev.batchSize = uint32_t(w[3] >> 8);
+            ev.traceId = w[4];
+            ev.tenant.resize(
+                std::min<size_t>((w[3] >> 40) & 0xff, kTenantBytes));
+            for (size_t i = 0; i < ev.tenant.size(); ++i)
+                ev.tenant[i] = char(uint8_t(w[5 + i / 8] >> (8 * (i % 8))));
+            out.push_back(std::move(ev));
+        });
+    dropped_.inc(torn);
     return out;
 }
 

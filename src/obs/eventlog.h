@@ -23,6 +23,8 @@
  * (obs/ring.h) — writers never block, a dump is a consistent sample of
  * committed events in sequence order, and under wraparound the oldest
  * events are overwritten and the dump reports how many were dropped.
+ * The eventlog.dropped counter gains one for each record() that
+ * overwrote an event and one for each event a dump discarded as torn.
  */
 #ifndef F1_OBS_EVENTLOG_H
 #define F1_OBS_EVENTLOG_H
@@ -87,7 +89,7 @@ class FlightRecorder
 
     /** Committed events in causal (sequence) order. A concurrent
      *  writer may cost a dump the slots it is overwriting; those
-     *  count as dropped. */
+     *  count into eventlog.dropped. */
     std::vector<ServingEvent> dump() const;
 
     /** {"capacity":...,"recorded":...,"dropped":...,"events":[...]}
@@ -111,11 +113,7 @@ class FlightRecorder
     //   w[4] traceId        w[5..7] tenant bytes, NUL-padded
     static constexpr size_t kTenantWords = 3;
     SeqlockRing<5 + kTenantWords> ring_;
-
-    /** Registers eventlog.dropped (the ring's wraparound and torn-read
-     *  losses). Declared LAST so it unregisters before the ring it
-     *  reads is destroyed. */
-    GaugeHandle droppedGauge_;
+    Counter &dropped_; //!< eventlog.dropped
 };
 
 } // namespace f1::obs

@@ -201,37 +201,10 @@ MetricsSnapshot::toJson() const
     return os.str();
 }
 
-GaugeHandle::GaugeHandle(GaugeHandle &&o) noexcept
-    : reg_(o.reg_), id_(o.id_)
-{
-    o.reg_ = nullptr;
-    o.id_ = 0;
-}
-
-GaugeHandle &
-GaugeHandle::operator=(GaugeHandle &&o) noexcept
-{
-    if (this != &o) {
-        if (reg_)
-            reg_->unregisterGauge(id_);
-        reg_ = o.reg_;
-        id_ = o.id_;
-        o.reg_ = nullptr;
-        o.id_ = 0;
-    }
-    return *this;
-}
-
-GaugeHandle::~GaugeHandle()
-{
-    if (reg_)
-        reg_->unregisterGauge(id_);
-}
-
 MetricsRegistry &
 MetricsRegistry::global()
 {
-    // Intentionally leaked: hot paths cache Counter references in
+    // Intentionally leaked: hot paths cache metric references in
     // function-local statics, which must stay valid through static
     // destruction of arbitrary other objects.
     static MetricsRegistry *reg = new MetricsRegistry;
@@ -242,11 +215,24 @@ Counter &
 MetricsRegistry::counter(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(m_);
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, std::make_unique<Counter>())
-                 .first;
-    return *it->second;
+    F1_REQUIRE(!gauges_.count(name),
+               "metric \"" << name << "\" is a gauge, not a counter");
+    auto &c = counters_[name];
+    if (!c)
+        c = std::make_unique<Counter>();
+    return *c;
+}
+
+Gauge &
+MetricsRegistry::gauge(const std::string &name)
+{
+    std::lock_guard<std::mutex> lock(m_);
+    F1_REQUIRE(!counters_.count(name),
+               "metric \"" << name << "\" is a counter, not a gauge");
+    auto &g = gauges_[name];
+    if (!g)
+        g = std::make_unique<Gauge>();
+    return *g;
 }
 
 Histogram &
@@ -270,35 +256,15 @@ MetricsRegistry::histogram(const std::string &name,
     return *it->second;
 }
 
-GaugeHandle
-MetricsRegistry::gauge(const std::string &name,
-                       std::function<uint64_t()> fn)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    const uint64_t id = nextGaugeId_++;
-    gauges_.emplace(id, Gauge{name, std::move(fn)});
-    return GaugeHandle(this, id);
-}
-
-void
-MetricsRegistry::unregisterGauge(uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    gauges_.erase(id);
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
-    // Gauges are evaluated under the registry lock: GaugeHandle
-    // destruction takes the same lock, so a gauge's captures cannot
-    // die mid-snapshot.
     std::lock_guard<std::mutex> lock(m_);
     MetricsSnapshot s;
     for (const auto &[name, c] : counters_)
         s.counters[name] = c->value();
-    for (const auto &[id, g] : gauges_)
-        s.counters[g.name] += g.fn();
+    for (const auto &[name, g] : gauges_)
+        s.counters[name] = g->value();
     for (const auto &[name, h] : histograms_)
         s.histograms[name] = h->snapshot();
     return s;
@@ -309,7 +275,7 @@ MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(m_);
     for (auto &[name, c] : counters_)
-        c->store(0);
+        c->v_.store(0, std::memory_order_relaxed);
     for (auto &[name, h] : histograms_)
         h->reset();
 }

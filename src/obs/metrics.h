@@ -1,40 +1,37 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, fixed-bucket latency
- * histograms, and callback gauges, snapshotable to JSON.
+ * Process-wide metrics registry: named counters, gauges and
+ * fixed-bucket latency histograms, snapshotable to JSON.
  *
  * The F1 paper's evaluation (Figs. 9-10) is built on per-structure
  * utilization and cycle breakdowns; this registry is the software
  * analogue — one place every hot-path counter in the system reports
- * to, replacing the bespoke stats structs that used to be scattered
- * across ScratchArena, LruCache, OpGraphExecutor, and ServingEngine
- * (the ScratchArena and LruCache accessors remain as thin shims over
- * this registry or over instance-local counters that also register
- * here as gauges).
+ * to. The registry owns every value it exports. A scalar is one of
+ * two kinds, resolved once by name and written by its owner where the
+ * value changes:
+ *  - Counter: monotonic (inc). MetricsRegistry::reset() zeroes it.
+ *  - Gauge: a level (set, add, sub), e.g. a queue depth or a cache
+ *    size. reset() leaves it alone, since the level it tracks still
+ *    stands. Owners of one name share the gauge, so add/sub from
+ *    several live instances sum, and a set is the last writer's.
+ * A name has one kind: asking for it as the other kind throws.
  *
  * Cost model (the "zero overhead when off" contract):
- *  - Counter::inc is one relaxed atomic fetch_add — the same cost as
- *    the bespoke atomics it replaced. Hot paths resolve the Counter
- *    reference once (function-local static or member), so the name
- *    lookup mutex is off the hot path entirely.
+ *  - Counter::inc and the Gauge writes are one relaxed atomic op.
+ *    Hot paths resolve the reference once (function-local static or
+ *    member), so the name lookup mutex is off the hot path entirely.
  *  - Histogram::observe is a branch-free bucket search over <= 32
  *    bounds plus two relaxed adds; it sits on per-job paths (one call
  *    per job), never per-op or per-limb paths.
- *  - snapshot() locks the registry and evaluates gauges; it is a
- *    cold-path export for benches, tests, and serving dashboards.
- *
- * Gauges exist for components whose counters must stay exact
- * per-instance (the LRU caches: tests assert per-scheme hit counts):
- * the instance keeps its own counters and registers a callback; the
- * snapshot SUMS same-name gauges, so N scheme instances aggregate
- * under one metric name without sharing state.
+ *  - snapshot() locks the registry and copies values; it runs no
+ *    owner code. It is a cold-path export for benches, tests, and
+ *    serving dashboards.
  */
 #ifndef F1_OBS_METRICS_H
 #define F1_OBS_METRICS_H
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,7 +41,8 @@
 
 namespace f1::obs {
 
-/** Monotonic (or gauge-style inc/dec) relaxed-atomic counter. */
+/** Monotonic relaxed-atomic counter; MetricsRegistry::reset() zeroes
+ *  it. */
 class Counter
 {
   public:
@@ -57,8 +55,39 @@ class Counter
     {
         v_.fetch_add(d, std::memory_order_relaxed);
     }
+    uint64_t
+    value() const
+    {
+        return v_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    friend class MetricsRegistry; // reset()
+    std::atomic<uint64_t> v_{0};
+};
+
+/** A level its owners write where it changes; MetricsRegistry::reset()
+ *  leaves it alone. Arithmetic is modulo 2^64, so a sub() must follow
+ *  the add() it undoes. */
+class Gauge
+{
+  public:
+    Gauge() = default;
+    Gauge(const Gauge &) = delete;
+    Gauge &operator=(const Gauge &) = delete;
+
     void
-    dec(uint64_t d = 1)
+    set(uint64_t v)
+    {
+        v_.store(v, std::memory_order_relaxed);
+    }
+    void
+    add(uint64_t d = 1)
+    {
+        v_.fetch_add(d, std::memory_order_relaxed);
+    }
+    void
+    sub(uint64_t d = 1)
     {
         v_.fetch_sub(d, std::memory_order_relaxed);
     }
@@ -66,12 +95,6 @@ class Counter
     value() const
     {
         return v_.load(std::memory_order_relaxed);
-    }
-    /** For shim-level resets (e.g. ScratchArena::resetStats). */
-    void
-    store(uint64_t v)
-    {
-        v_.store(v, std::memory_order_relaxed);
     }
 
   private:
@@ -157,40 +180,13 @@ std::span<const double> defaultQuantiles();
 
 struct MetricsSnapshot
 {
-    /** Counters plus evaluated gauges (same-name gauges summed). */
+    /** Every counter and gauge value, by name. */
     std::map<std::string, uint64_t> counters;
     std::map<std::string, HistogramSnapshot> histograms;
 
     /** One JSON object: {"counters": {...}, "histograms": {...}}.
      *  Keys are sorted, so the output is deterministic. */
     std::string toJson() const;
-};
-
-class MetricsRegistry;
-
-/**
- * RAII registration of a gauge callback; unregisters on destruction.
- * Destruction blocks until any in-flight snapshot() finishes, so a
- * gauge's captures stay valid for exactly the handle's lifetime.
- */
-class GaugeHandle
-{
-  public:
-    GaugeHandle() = default;
-    GaugeHandle(GaugeHandle &&o) noexcept;
-    GaugeHandle &operator=(GaugeHandle &&o) noexcept;
-    GaugeHandle(const GaugeHandle &) = delete;
-    GaugeHandle &operator=(const GaugeHandle &) = delete;
-    ~GaugeHandle();
-
-  private:
-    friend class MetricsRegistry;
-    GaugeHandle(MetricsRegistry *reg, uint64_t id)
-        : reg_(reg), id_(id)
-    {
-    }
-    MetricsRegistry *reg_ = nullptr;
-    uint64_t id_ = 0;
 };
 
 class MetricsRegistry
@@ -207,9 +203,15 @@ class MetricsRegistry
     /**
      * Returns the counter registered under `name`, creating it on
      * first use. The reference stays valid for the registry's
-     * lifetime; resolve once, increment forever.
+     * lifetime; resolve once, increment forever. Throws FatalError if
+     * `name` is already a gauge.
      */
     Counter &counter(const std::string &name);
+
+    /** Returns the gauge registered under `name`, creating it (at 0)
+     *  on first use; like counter(), resolve once. Throws FatalError
+     *  if `name` is already a counter. */
+    Gauge &gauge(const std::string &name);
 
     /**
      * Returns the histogram registered under `name`, creating it with
@@ -224,30 +226,18 @@ class MetricsRegistry
                          std::span<const double> bounds = {},
                          std::span<const double> quantiles = {});
 
-    /** Registers a gauge callback summed into `name` at snapshot. */
-    [[nodiscard]] GaugeHandle
-    gauge(const std::string &name, std::function<uint64_t()> fn);
-
+    /** Copies every value; runs no code outside the registry. */
     MetricsSnapshot snapshot() const;
 
-    /** Zeroes every counter and histogram (gauges are callbacks and
-     *  keep their instance state). For tests and bench epochs. */
+    /** Zeroes every counter and histogram; gauges keep their levels.
+     *  For tests. */
     void reset();
 
   private:
-    friend class GaugeHandle;
-    void unregisterGauge(uint64_t id);
-
     mutable std::mutex m_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
+    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-    struct Gauge
-    {
-        std::string name;
-        std::function<uint64_t()> fn;
-    };
-    std::map<uint64_t, Gauge> gauges_;
-    uint64_t nextGaugeId_ = 1;
 };
 
 } // namespace f1::obs

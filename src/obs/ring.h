@@ -15,10 +15,10 @@
  * rather than interleave stores with it, so no committed ticket ever
  * covers words from two entries.
  *
- * Loss is counted by the ring, not by its users: dropped() is the
- * entries overwritten by wraparound plus every entry a read had to
- * discard after exhausting its retries. The torn count is cumulative
- * over all reads, so one entry missed by two reads counts twice.
+ * Loss is counted where it happens: a push that returns a sequence
+ * number above capacity() cost one entry (the oldest, or its own when
+ * it gave up), and read() returns how many entries it discarded as
+ * torn. dropped() sums both over the ring's life.
  */
 #ifndef F1_OBS_RING_H
 #define F1_OBS_RING_H
@@ -72,12 +72,13 @@ class SeqlockRing
      * number in (after, upTo], oldest first. Entries already lapped
      * when the read starts are skipped (wraparound counts them); a
      * slot caught mid-write is retried a few times and then discarded
-     * as torn.
+     * as torn. Returns the number of entries discarded as torn.
      */
     template <class Fn>
-    void
+    uint64_t
     read(uint64_t after, uint64_t upTo, Fn &&fn) const
     {
+        uint64_t torn = 0;
         upTo = std::min(upTo, recorded());
         const uint64_t oldest = upTo > cap_ ? upTo - cap_ : 0;
         for (uint64_t seq = std::max(after, oldest) + 1; seq <= upTo;
@@ -100,8 +101,10 @@ class SeqlockRing
                 }
             }
             if (attempt == kAttempts)
-                torn_.fetch_add(1, std::memory_order_relaxed);
+                ++torn;
         }
+        torn_.fetch_add(torn, std::memory_order_relaxed);
+        return torn;
     }
 
     /** Entries ever pushed: the newest sequence number. */
@@ -112,8 +115,8 @@ class SeqlockRing
     }
 
     /** Entries lost to wraparound plus entries reads discarded as
-     *  torn. Atomics only, so metric gauges may call it under the
-     *  registry lock. */
+     *  torn, over the ring's life. The torn count is cumulative over
+     *  all reads, so one entry missed by two reads counts twice. */
     uint64_t
     dropped() const
     {

@@ -25,6 +25,14 @@ SloTracker::SloTracker(SloConfig cfg)
         std::min(cfg_.targetAttainment, 1.0 - 1e-9);
 }
 
+SloTracker::~SloTracker()
+{
+    for (auto &[name, t] : tenants_) {
+        t.attainment->set(10000);
+        t.burnRate->set(0);
+    }
+}
+
 double
 SloTracker::attainmentOf(uint64_t winTotal, uint64_t winMisses)
 {
@@ -51,59 +59,38 @@ SloTracker::recordJob(const std::string &tenant, double latencyMs,
     std::lock_guard<std::mutex> lock(m_);
     auto it = tenants_.find(tenant);
     if (it == tenants_.end()) {
-        auto t = std::make_unique<Tenant>();
-        t->ring.assign(cfg_.windowSize, 0);
         auto &reg = MetricsRegistry::global();
-        t->missCounter =
-            &reg.counter("slo." + tenant + ".deadline_misses");
-        // The gauge lambdas read the Tenant's atomics only: a
-        // registry snapshot evaluates them under the REGISTRY lock,
-        // and taking m_ there would invert against this very path
-        // (m_ held -> registry lock to register). Integer scaling:
-        // attainment in basis points, burn rate in milli-units.
-        Tenant *tp = t.get();
-        const double target = cfg_.targetAttainment;
-        t->attainGauge =
-            reg.gauge("slo." + tenant + ".attainment", [tp] {
-                const uint64_t tot =
-                    tp->winTotal.load(std::memory_order_relaxed);
-                const uint64_t miss =
-                    tp->winMisses.load(std::memory_order_relaxed);
-                return uint64_t(
-                    std::llround(attainmentOf(tot, miss) * 10000.0));
-            });
-        t->burnGauge =
-            reg.gauge("slo." + tenant + ".burn_rate", [tp, target] {
-                const uint64_t tot =
-                    tp->winTotal.load(std::memory_order_relaxed);
-                if (tot == 0)
-                    return uint64_t(0);
-                const uint64_t miss =
-                    tp->winMisses.load(std::memory_order_relaxed);
-                const double rate = std::min(
-                    (double(miss) / double(tot)) / (1.0 - target),
-                    kMaxBurnRate);
-                return uint64_t(std::llround(rate * 1000.0));
-            });
-        it = tenants_.emplace(tenant, std::move(t)).first;
+        const std::string base = "slo." + tenant + ".";
+        Tenant fresh;
+        fresh.ring.assign(cfg_.windowSize, 0);
+        fresh.missCounter = &reg.counter(base + "deadline_misses");
+        fresh.attainment = &reg.gauge(base + "attainment");
+        fresh.burnRate = &reg.gauge(base + "burn_rate");
+        it = tenants_.emplace(tenant, std::move(fresh)).first;
     }
 
-    Tenant &t = *it->second;
+    Tenant &t = it->second;
     if (t.total >= cfg_.windowSize) {
         // Window full: the slot at head leaves the window.
         if (t.ring[t.head] != 0)
-            t.winMisses.fetch_sub(1, std::memory_order_relaxed);
+            --t.winMisses;
     } else {
-        t.winTotal.fetch_add(1, std::memory_order_relaxed);
+        ++t.winTotal;
     }
     t.ring[t.head] = miss ? 1 : 0;
     t.head = (t.head + 1) % cfg_.windowSize;
     ++t.total;
     if (miss) {
         ++t.misses;
-        t.winMisses.fetch_add(1, std::memory_order_relaxed);
+        ++t.winMisses;
         t.missCounter->inc();
     }
+    // Integer scaling: attainment in basis points, burn rate in
+    // milli-units.
+    t.attainment->set(uint64_t(
+        std::llround(attainmentOf(t.winTotal, t.winMisses) * 10000.0)));
+    t.burnRate->set(uint64_t(
+        std::llround(burnRateOf(t.winTotal, t.winMisses) * 1000.0)));
 }
 
 double
@@ -113,9 +100,7 @@ SloTracker::burnRate(const std::string &tenant) const
     auto it = tenants_.find(tenant);
     if (it == tenants_.end())
         return 0.0;
-    return burnRateOf(
-        it->second->winTotal.load(std::memory_order_relaxed),
-        it->second->winMisses.load(std::memory_order_relaxed));
+    return burnRateOf(it->second.winTotal, it->second.winMisses);
 }
 
 std::map<std::string, SloTracker::TenantSlo>
@@ -125,10 +110,10 @@ SloTracker::snapshot() const
     std::map<std::string, TenantSlo> out;
     for (const auto &[name, t] : tenants_) {
         TenantSlo s;
-        s.total = t->total;
-        s.misses = t->misses;
-        s.windowTotal = t->winTotal.load(std::memory_order_relaxed);
-        s.windowMisses = t->winMisses.load(std::memory_order_relaxed);
+        s.total = t.total;
+        s.misses = t.misses;
+        s.windowTotal = t.winTotal;
+        s.windowMisses = t.winMisses;
         s.attainment = attainmentOf(s.windowTotal, s.windowMisses);
         s.burnRate = burnRateOf(s.windowTotal, s.windowMisses);
         out.emplace(name, s);

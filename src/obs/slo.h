@@ -20,28 +20,26 @@
  *    maxBurnRate) so overload sheds BEFORE the backlog explodes.
  *
  * Published registry metrics, per tenant (integer-scaled because
- * registry gauges are uint64):
+ * registry values are uint64):
  *  - slo.<tenant>.deadline_misses  counter, lifetime misses
  *  - slo.<tenant>.attainment       gauge, basis points (10000 = 100%)
  *  - slo.<tenant>.burn_rate        gauge, milli-units (1000 = 1.0x)
  *
+ * recordJob sets both gauges from the tenant's window after each job,
+ * and the destructor sets them back to the empty-window values (10000
+ * and 0), so a destroyed engine's burn rate cannot shed a later
+ * engine's tenant. A gauge holds its last writer's value: keep at
+ * most one live tracker per tenant namespace (one serving engine).
+ *
  * Concurrency: recordJob takes a per-tracker mutex (it is a per-JOB
  * path — the one-TLS-load-and-branch discipline governs per-op hooks,
- * which this never touches). The gauges read lock-free atomics only,
- * so a registry snapshot never takes the tracker lock — the same
- * lock-ordering rule the serving queue-depth gauges follow.
- *
- * Gauges are summed per name by the registry, so keep at most one
- * live tracker per tenant namespace (one serving engine); two engines
- * sharing tenant names would double-count attainment.
+ * which this never touches).
  */
 #ifndef F1_OBS_SLO_H
 #define F1_OBS_SLO_H
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -65,6 +63,7 @@ class SloTracker
 {
   public:
     explicit SloTracker(SloConfig cfg = {});
+    ~SloTracker();
     SloTracker(const SloTracker &) = delete;
     SloTracker &operator=(const SloTracker &) = delete;
 
@@ -94,8 +93,7 @@ class SloTracker
      * the tracker mutex; safe to call under the serving engine's lock
      * (the dispatch path does) because the only other m_ holders are
      * recordJob — called OUTSIDE the engine lock — and the snapshot
-     * paths, and the gauges read atomics without m_, so no cycle with
-     * the registry lock exists either.
+     * paths.
      */
     double burnRate(const std::string &tenant) const;
 
@@ -112,13 +110,11 @@ class SloTracker
         size_t head = 0;
         uint64_t total = 0;
         uint64_t misses = 0;
-        //! Lock-free mirrors the registry gauges read (a snapshot
-        //! holds the registry lock; it must never need ours).
-        std::atomic<uint64_t> winTotal{0};
-        std::atomic<uint64_t> winMisses{0};
+        uint64_t winTotal = 0;
+        uint64_t winMisses = 0;
         Counter *missCounter = nullptr;
-        GaugeHandle attainGauge;
-        GaugeHandle burnGauge;
+        Gauge *attainment = nullptr; //!< basis points
+        Gauge *burnRate = nullptr;   //!< milli-units
     };
 
     double burnRateOf(uint64_t winTotal, uint64_t winMisses) const;
@@ -126,9 +122,7 @@ class SloTracker
 
     SloConfig cfg_;
     mutable std::mutex m_;
-    //! unique_ptr: gauges capture raw Tenant pointers, which must
-    //! stay stable across map rehash/insert.
-    std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+    std::map<std::string, Tenant> tenants_;
 };
 
 } // namespace f1::obs

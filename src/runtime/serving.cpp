@@ -20,6 +20,8 @@ struct ServingMetrics
     obs::Counter &failed;
     obs::Counter &shed;
     obs::Counter &dispatchPenalties;
+    obs::Gauge &queueDepth;     //!< summed over live engines
+    obs::Gauge &queueDepthPeak; //!< the last writer's own peak
     obs::Histogram &queueMs;
     obs::Histogram &serviceMs;
     obs::Histogram &batchSize;
@@ -40,6 +42,8 @@ struct ServingMetrics
             reg.counter("serving.jobs_failed"),
             reg.counter("serving.shed_jobs"),
             reg.counter("serving.dispatch_penalties"),
+            reg.gauge("serving.queue_depth"),
+            reg.gauge("serving.queue_depth_peak"),
             reg.histogram("serving.queue_ms", {}, kLatencyQuantiles),
             reg.histogram("serving.service_ms", {},
                           kLatencyQuantiles),
@@ -159,17 +163,7 @@ ServingEngine::start()
 {
     if (cfg_.maxBatch == 0)
         cfg_.maxBatch = 1;
-    // Gauges read the lock-free mirrors, never m_: a registry
-    // snapshot holds the registry lock while evaluating gauges, and a
-    // submit() path may snapshot the registry — an m_-taking gauge
-    // would be a lock-order inversion.
-    auto &reg = obs::MetricsRegistry::global();
-    depthGauge_ = reg.gauge("serving.queue_depth", [this] {
-        return uint64_t(depthNow_.load(std::memory_order_relaxed));
-    });
-    depthPeakGauge_ = reg.gauge("serving.queue_depth_peak", [this] {
-        return uint64_t(depthPeak_.load(std::memory_order_relaxed));
-    });
+    ServingMetrics::get().queueDepthPeak.set(0);
     const unsigned n =
         cfg_.workers == 0 ? configuredThreadCount() : cfg_.workers;
     workers_.reserve(n);
@@ -191,6 +185,7 @@ ServingEngine::~ServingEngine()
     cvWork_.notify_all();
     for (auto &w : workers_)
         w.join();
+    ServingMetrics::get().queueDepthPeak.set(0);
     // Teardown-with-failures: leave the post-mortem on disk even if
     // nobody inspected the per-failure dumps while serving.
     if (!cfg_.eventDumpPath.empty() && anyFailed_)
@@ -221,10 +216,10 @@ ServingEngine::submit(JobRequest req)
     rec.record(obs::ServingEventKind::kSubmit, 0, req.tenant, fp, 0,
                traceId);
 
-    // Snapshot the registry BEFORE taking m_ (the snapshot evaluates
-    // gauges across the process; keeping it outside our lock keeps
-    // the lock graph acyclic). Skipped entirely when no admission
-    // limit is configured — the default submit path stays cheap.
+    // Snapshot the registry BEFORE taking m_, so the copy stays out
+    // of the engine's critical section. Skipped entirely when no
+    // admission limit is configured — the default submit path stays
+    // cheap.
     const bool needsAdmission =
         tp.maxQueueDepth != 0 || admission_.limits().maxBacklog != 0 ||
         admission_.limits().maxQueueP95Ms > 0 ||
@@ -274,10 +269,13 @@ ServingEngine::submit(JobRequest req)
         const std::string &tenant = it->first;
         it->second.push_back(std::move(job));
         ++pending_;
-        ServingMetrics::get().submitted.inc();
-        depthNow_.store(pending_, std::memory_order_relaxed);
-        if (pending_ > depthPeak_.load(std::memory_order_relaxed))
-            depthPeak_.store(pending_, std::memory_order_relaxed);
+        ServingMetrics &sm = ServingMetrics::get();
+        sm.submitted.inc();
+        sm.queueDepth.add();
+        if (pending_ > peakPending_) {
+            peakPending_ = pending_;
+            sm.queueDepthPeak.set(peakPending_);
+        }
         rec.record(obs::ServingEventKind::kAdmit, jobId, tenant, fp,
                    0, traceId);
     }
@@ -490,7 +488,7 @@ ServingEngine::workerLoop()
             if (!popBatch(batch))
                 continue;
             pending_ -= batch.size();
-            depthNow_.store(pending_, std::memory_order_relaxed);
+            ServingMetrics::get().queueDepth.sub(batch.size());
             inFlight_ += batch.size();
         }
 

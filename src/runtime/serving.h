@@ -50,8 +50,10 @@
  * so AdmissionLimits::maxBurnRate can shed on it), and an exporter
  * (obs/exporter.h) can serve all of it to a scraper. Engine totals
  * live in the metrics registry only: serving.jobs_*,
- * serving.shed_jobs, serving.queue_depth{,_peak}, and
- * cache.serving_encoding.*.
+ * serving.shed_jobs, cache.serving_encoding.*, and two gauges the
+ * engine writes under its lock: serving.queue_depth (queued jobs,
+ * summed over live engines) and serving.queue_depth_peak (the
+ * engine's own peak, set to 0 when it starts and when it stops).
  */
 #ifndef F1_RUNTIME_SERVING_H
 #define F1_RUNTIME_SERVING_H
@@ -101,8 +103,8 @@ struct AdmissionLimits
 
     /** Shed while the registry's serving.queue_ms p95 exceeds this
      *  (milliseconds). The histogram is cumulative, so this acts on
-     *  the process's whole observed history; benches and tests
-     *  bracket epochs with MetricsRegistry::reset(). */
+     *  the process's whole observed history; tests bracket epochs
+     *  with MetricsRegistry::reset(). */
     double maxQueueP95Ms = 0;
 
     /**
@@ -319,9 +321,7 @@ class ServingEngine
     ServingConfig cfg_;
     AdmissionController admission_;
     EncodingCache encCache_;
-    //! Publishes slo.<tenant>.* into the registry; its gauges read
-    //! atomics only, so registering them is snapshot-safe (see
-    //! obs/slo.h on lock ordering).
+    //! Publishes slo.<tenant>.* into the registry.
     obs::SloTracker slo_;
 
     std::mutex m_;
@@ -335,19 +335,9 @@ class ServingEngine
     std::map<std::string, std::deque<Job>> queues_;
     std::vector<std::string> tenantOrder_; //!< first-seen order
     bool anyFailed_ = false; //!< dump the flight recorder at teardown
-
-    //! Lock-free mirrors of pending_ and its peak, written under m_,
-    //! so the queue-depth gauges never take m_ inside a snapshot.
-    std::atomic<size_t> depthNow_{0};
-    std::atomic<size_t> depthPeak_{0};
+    size_t peakPending_ = 0; //!< serving.queue_depth_peak while running
 
     std::vector<std::thread> workers_;
-
-    //! Declared last: gauge callbacks capture `this`, and GaugeHandle
-    //! destruction (first in reverse member order) unregisters them
-    //! before any engine state they read goes away.
-    obs::GaugeHandle depthGauge_;
-    obs::GaugeHandle depthPeakGauge_;
 };
 
 } // namespace f1

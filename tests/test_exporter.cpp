@@ -6,7 +6,8 @@
  * estimates), histogram overflow accounting, configurable quantile
  * sets, the embedded HTTP exporter end-to-end over real sockets,
  * per-tenant SLO window math and its registry gauges, burn-rate-driven
- * admission shedding (standalone and through a live ServingEngine),
+ * admission shedding (standalone and through a live ServingEngine,
+ * and not past that engine's destruction),
  * burn-rate dispatch penalties (the scheduling tier below shedding),
  * the flight recorder's causal post-mortem of a failed job and its
  * trace-id round-trip, and the /calibration.json + /tracez?ms=N
@@ -361,6 +362,48 @@ TEST(ServingEngineSloTest, BurnRateFromMissedDeadlinesShedsTenant)
     engine.submit(std::move(ok)).get();
     EXPECT_EQ(reg.snapshot().counters.at("serving.jobs_completed"), 2u);
     reg.reset();
+}
+
+TEST(ServingEngineSloTest, DestroyedEngineBurnRateDoesNotShedLaterEngine)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    Program p = chainProgram();
+
+    ServingConfig cfg;
+    cfg.workers = 1;
+    cfg.admission.maxBurnRate = 2.0;
+    cfg.slo.windowSize = 8;
+    cfg.slo.targetAttainment = 0.99;
+    TenantPolicy impossible;
+    impossible.deadlineMs = 1e-6;
+    cfg.tenantPolicies["slo_gone"] = impossible;
+
+    auto makeReq = [&](uint64_t seed) {
+        JobRequest req;
+        req.program = &p;
+        req.tenant = "slo_gone";
+        req.inputs.seed = seed;
+        return req;
+    };
+
+    {
+        ServingEngine engine(&bgv, cfg);
+        engine.submit(makeReq(1)).get();
+        EXPECT_GE(reg.snapshot().counters.at("slo.slo_gone.burn_rate"),
+                  2000u);
+        EXPECT_THROW(engine.submit(makeReq(2)), AdmissionRejected);
+    }
+    // The tracker that measured the burn is gone; its tenant's gauges
+    // read an empty window, not the dead engine's last burn.
+    auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.at("slo.slo_gone.burn_rate"), 0u);
+    EXPECT_EQ(snap.counters.at("slo.slo_gone.attainment"), 10000u);
+
+    // So a later engine with the same limit admits the tenant.
+    ServingEngine later(&bgv, cfg);
+    EXPECT_NO_THROW(later.submit(makeReq(3)).get());
 }
 
 //

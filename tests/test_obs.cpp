@@ -1,15 +1,15 @@
 /**
  * @file
- * Observability tests: metrics registry semantics (counters,
- * histograms, summed gauges, JSON export), bit-stable counting across
- * thread counts, the scratch/cache shims over the registry, per-op
- * trace export (valid JSON, span count == executed ops, per-lane
- * nesting, predicted-vs-actual start cycles), per-job execution
- * profiles, the telemetry-off contract (no artifacts produced),
- * end-to-end trace-id correlation (serving lifecycle -> executor
- * spans -> profile, with Perfetto flow events), the schedule-
- * calibration accumulator, the dropped-telemetry metrics, and a
- * concurrent scrape-under-load stress.
+ * Observability tests: metrics registry semantics (counters, gauges,
+ * histograms, one kind per name, reset, JSON export), bit-stable
+ * counting across thread counts, the scratch arena's and named
+ * caches' registry metrics, per-op trace export (valid JSON, span
+ * count == executed ops, per-lane nesting, predicted-vs-actual start
+ * cycles), per-job execution profiles, the telemetry-off contract (no
+ * artifacts produced), end-to-end trace-id correlation (serving
+ * lifecycle -> executor spans -> profile, with Perfetto flow events),
+ * the schedule-calibration accumulator, the dropped-telemetry metrics,
+ * and a concurrent scrape-under-load stress.
  *
  * This suite runs under TSan in CI alongside test_parallel,
  * test_runtime and test_exporter: the registry, collector, seqlock
@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/parallel.h"
 #include "common/scratch.h"
 #include "compiler/compiler.h"
@@ -90,31 +91,79 @@ TEST(MetricsRegistryTest, HistogramBucketsAndQuantiles)
     EXPECT_NEAR(s.sum, 90 * 0.5 + 9 * 5.0 + 1000.0, 1e-3);
 }
 
-TEST(MetricsRegistryTest, SameNameGaugesAreSummed)
+/** A counter's or gauge's value in a fresh snapshot (0 if absent). */
+uint64_t
+registryValue(const std::string &name)
 {
-    auto &reg = obs::MetricsRegistry::global();
-    uint64_t a = 3, b = 4;
-    auto ga = reg.gauge("obs_test.gauge", [&] { return a; });
-    auto gb = reg.gauge("obs_test.gauge", [&] { return b; });
-    auto snap = reg.snapshot();
-    ASSERT_TRUE(snap.counters.count("obs_test.gauge"));
-    EXPECT_EQ(snap.counters["obs_test.gauge"], 7u);
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
 }
 
-TEST(MetricsRegistryTest, GaugeUnregistersOnHandleDestruction)
+TEST(MetricsRegistryTest, GaugesKeepTheirLevelAcrossReset)
 {
     auto &reg = obs::MetricsRegistry::global();
+    obs::Counter &c = reg.counter("obs_test.reset_counter");
+    obs::Gauge &g = reg.gauge("obs_test.level");
+    EXPECT_EQ(&reg.gauge("obs_test.level"), &g);
+    c.inc(5);
+    g.set(7);
+    g.add(3);
+    g.sub(2);
+    EXPECT_EQ(registryValue("obs_test.level"), 8u);
+    reg.reset();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(g.value(), 8u);
+    EXPECT_EQ(registryValue("obs_test.level"), 8u);
+}
+
+TEST(MetricsRegistryTest, NameHasOneKind)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    reg.counter("obs_test.kind_counter");
+    reg.gauge("obs_test.kind_gauge");
+    EXPECT_THROW(reg.gauge("obs_test.kind_counter"), FatalError);
+    EXPECT_THROW(reg.counter("obs_test.kind_gauge"), FatalError);
+}
+
+TEST(MetricsRegistryTest, SameNameCachesSumAndKeepHitsOfTheDestroyed)
+{
+    const std::string hits = "cache.obs_test_cache.hits";
+    const std::string size = "cache.obs_test_cache.size";
+    const uint64_t hits0 = registryValue(hits);
+    const uint64_t size0 = registryValue(size);
+    LruCache<int, int> a(8, "obs_test_cache");
     {
-        uint64_t v = 9;
-        auto g = reg.gauge("obs_test.transient_gauge",
-                           [&] { return v; });
-        EXPECT_EQ(reg.snapshot().counters.count(
-                      "obs_test.transient_gauge"),
-                  1u);
+        LruCache<int, int> b(8, "obs_test_cache");
+        a.put(1, 10);
+        b.put(1, 10);
+        b.put(2, 20);
+        (void)a.get(1);
+        (void)b.get(1);
+        (void)b.get(2);
+        (void)b.get(3); // miss
+        EXPECT_EQ(registryValue(hits) - hits0, 3u);
+        EXPECT_EQ(registryValue(size) - size0, 3u);
     }
-    EXPECT_EQ(
-        reg.snapshot().counters.count("obs_test.transient_gauge"),
-        0u);
+    // b's hits stay counted; its two entries leave the size.
+    EXPECT_EQ(registryValue(hits) - hits0, 3u);
+    EXPECT_EQ(registryValue(size) - size0, 1u);
+    a.clear();
+    EXPECT_EQ(registryValue(size), size0);
+}
+
+TEST(MetricsRegistryTest, ResetWithScratchCheckedOutKeepsLiveBalanced)
+{
+    // scratch.live counts outstanding handles: a reset() while one is
+    // checked out must not leave it below its level once it returns.
+    (void)ScratchArena::u32(8); // registers the scratch metrics
+    const uint64_t before = registryValue("scratch.live");
+    {
+        auto h = ScratchArena::u32(64);
+        h[0] = 1;
+        obs::MetricsRegistry::global().reset();
+    }
+    EXPECT_EQ(registryValue("scratch.live"), before);
 }
 
 TEST(MetricsRegistryTest, SnapshotExportsValidJson)
@@ -148,54 +197,6 @@ TEST(MetricsRegistryTest, CountersBitStableAcrossThreadCounts)
         // approximate, whatever the interleaving.
         EXPECT_EQ(c.value(), threads * 10000u);
     }
-}
-
-//
-// Shims over the registry
-//
-
-TEST(ObsShimTest, ScratchStatsReadTheRegistry)
-{
-    ScratchArena::resetStats();
-    const auto snap0 = obs::MetricsRegistry::global().snapshot();
-    {
-        auto h = ScratchArena::u32(512);
-        h[0] = 1;
-    }
-    const auto stats = ScratchArena::stats();
-    EXPECT_GE(stats.checkouts, 1u);
-    const auto snap = obs::MetricsRegistry::global().snapshot();
-    ASSERT_TRUE(snap.counters.count("scratch.checkouts"));
-    EXPECT_EQ(snap.counters.at("scratch.checkouts"),
-              stats.checkouts);
-    EXPECT_EQ(snap.counters.at("scratch.heap_allocs"),
-              stats.heapAllocs);
-    EXPECT_GT(snap.counters.at("scratch.checkouts"),
-              snap0.counters.at("scratch.checkouts"));
-}
-
-TEST(ObsShimTest, NamedCacheRegistersGauges)
-{
-    auto snapCount = [](const std::string &key) {
-        auto s = obs::MetricsRegistry::global().snapshot();
-        auto it = s.counters.find(key);
-        return it == s.counters.end() ? uint64_t(0) : it->second;
-    };
-    {
-        LruCache<int, int> cache(8, "obs_test_cache");
-        cache.put(1, 10);
-        (void)cache.get(1); // hit
-        (void)cache.get(2); // miss
-        EXPECT_EQ(snapCount("cache.obs_test_cache.hits"), 1u);
-        EXPECT_EQ(snapCount("cache.obs_test_cache.misses"), 1u);
-        EXPECT_EQ(snapCount("cache.obs_test_cache.size"), 1u);
-        // The per-instance shim agrees with the gauges.
-        EXPECT_EQ(cache.stats().hits, 1u);
-        EXPECT_EQ(cache.stats().misses, 1u);
-    }
-    // Gauges unregister with the cache.
-    auto s = obs::MetricsRegistry::global().snapshot();
-    EXPECT_EQ(s.counters.count("cache.obs_test_cache.hits"), 0u);
 }
 
 //
@@ -702,7 +703,7 @@ TEST(CalibrationTest, RecoversSyntheticLinearFit)
     EXPECT_NEAR(fits[0].maeNs, 0.0, 1e-6);
     EXPECT_EQ(fits[0].retained, 200u);
 
-    // The gauge mirrors publish into the registry (slope in milli).
+    // The kind's gauges publish into the registry (slope in milli).
     auto snap = obs::MetricsRegistry::global().snapshot();
     EXPECT_EQ(snap.counters.at("calib.unit_kind.samples"), 200u);
     EXPECT_EQ(snap.counters.at("calib.unit_kind.slope_milli"), 3000u);
@@ -781,19 +782,14 @@ TEST(DroppedMetricsTest, TraceRingDropCountsReachTheRegistry)
 
 TEST(DroppedMetricsTest, EventlogDroppedGaugeCountsWraparound)
 {
-    auto gaugeVal = [] {
-        auto s = obs::MetricsRegistry::global().snapshot();
-        auto it = s.counters.find("eventlog.dropped");
-        return it == s.counters.end() ? uint64_t(0) : it->second;
-    };
     obs::FlightRecorder rec(/*capacity=*/8);
-    const uint64_t before = gaugeVal();
+    const uint64_t before = registryValue("eventlog.dropped");
     for (int i = 0; i < 13; ++i)
         rec.record(obs::ServingEventKind::kSubmit, uint64_t(i + 1),
                    "t");
-    // 13 events into 8 slots: the 5 oldest are overwritten, and the
-    // recorder's gauge (summed with the global recorder's) says so.
-    EXPECT_EQ(gaugeVal(), before + 5);
+    // 13 events into 8 slots: the 5 oldest are overwritten, and
+    // eventlog.dropped (shared with the global recorder) says so.
+    EXPECT_EQ(registryValue("eventlog.dropped"), before + 5);
     auto evs = rec.dump();
     ASSERT_EQ(evs.size(), 8u);
     EXPECT_EQ(evs.front().seq, 6u);
@@ -875,11 +871,12 @@ raceRing(size_t slots, unsigned writers, uint64_t perWriter)
 
     const uint64_t before = ring.dropped();
     std::vector<uint64_t> found;
-    ring.read(0, ring.recorded(), [&](uint64_t seq, const Payload &w) {
-        check(seq, w);
-        found.push_back(seq);
-    });
-    const uint64_t torn = ring.dropped() - before;
+    const uint64_t torn =
+        ring.read(0, ring.recorded(), [&](uint64_t seq, const Payload &w) {
+            check(seq, w);
+            found.push_back(seq);
+        });
+    EXPECT_EQ(ring.dropped() - before, torn);
     for (uint64_t seq = 1; seq <= total; ++seq)
         if (readX[seq] != 0 && readX[seq] != pushedX[seq])
             ++mismatches;

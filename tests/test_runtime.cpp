@@ -27,13 +27,24 @@
 namespace f1 {
 namespace {
 
+/** Current value of a registry counter or gauge (0 if absent). */
+uint64_t
+registryValue(const std::string &name)
+{
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
 //
 // LruCache
 //
 
 TEST(LruCacheTest, PutGetAndEvictionOrder)
 {
-    LruCache<int, int> cache(2);
+    const uint64_t evictions0 =
+        registryValue("cache.lru_test_order.evictions");
+    LruCache<int, int> cache(2, "lru_test_order");
     cache.put(1, 10);
     cache.put(2, 20);
     ASSERT_NE(cache.get(1), nullptr); // 1 is now most recent
@@ -43,12 +54,17 @@ TEST(LruCacheTest, PutGetAndEvictionOrder)
     EXPECT_EQ(*cache.get(1), 10);
     ASSERT_NE(cache.get(3), nullptr);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(registryValue("cache.lru_test_order.evictions") -
+                  evictions0,
+              1u);
 }
 
 TEST(LruCacheTest, GetOrCreateComputesOnce)
 {
-    LruCache<int, int> cache;
+    const uint64_t hits0 = registryValue("cache.lru_test_create.hits");
+    const uint64_t misses0 =
+        registryValue("cache.lru_test_create.misses");
+    LruCache<int, int> cache(0, "lru_test_create");
     int calls = 0;
     auto make = [&] {
         ++calls;
@@ -57,8 +73,9 @@ TEST(LruCacheTest, GetOrCreateComputesOnce)
     EXPECT_EQ(*cache.getOrCreate(7, make), 42);
     EXPECT_EQ(*cache.getOrCreate(7, make), 42);
     EXPECT_EQ(calls, 1);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(registryValue("cache.lru_test_create.hits") - hits0, 1u);
+    EXPECT_EQ(registryValue("cache.lru_test_create.misses") - misses0,
+              1u);
 }
 
 TEST(LruCacheTest, PinnedValueSurvivesEviction)
@@ -235,11 +252,12 @@ TEST(OpGraphExecutorTest, HintCacheHitsOnRepeatedPrograms)
     Program p = diamondProgram();
     OpGraphExecutor exec(p, &bgv);
     exec.execute();
-    const auto cold = bgv.hintCacheStats();
+    const uint64_t coldHits = registryValue("cache.bgv_hints.hits");
+    const uint64_t coldMisses = registryValue("cache.bgv_hints.misses");
     exec.execute();
-    const auto warm = bgv.hintCacheStats();
-    EXPECT_GT(warm.hits, cold.hits);
-    EXPECT_EQ(warm.misses, cold.misses); // nothing regenerated
+    EXPECT_GT(registryValue("cache.bgv_hints.hits"), coldHits);
+    // Nothing regenerated.
+    EXPECT_EQ(registryValue("cache.bgv_hints.misses"), coldMisses);
 }
 
 TEST(OpGraphExecutorTest, CappedHintCacheStaysCorrect)
@@ -252,10 +270,12 @@ TEST(OpGraphExecutorTest, CappedHintCacheStaysCorrect)
 
     RuntimeInputs in;
     in.seed = 23;
+    // Only the capped cache can evict: the reference one is unbounded.
+    const uint64_t evictions0 = registryValue("cache.bgv_hints.evictions");
     auto a = OpGraphExecutor(p, &reference).execute(in);
     auto b = OpGraphExecutor(p, &capped).execute(in);
     expectIdenticalOutputs(a, b);
-    EXPECT_GT(capped.hintCacheStats().evictions, 0u);
+    EXPECT_GT(registryValue("cache.bgv_hints.evictions"), evictions0);
 }
 
 //
@@ -557,15 +577,6 @@ TEST(OpGraphExecutorTest, OpThrowingMidWalkStopsEveryWorker)
 //
 // Serving engine
 //
-
-/** Current value of a registry counter or gauge (0 if absent). */
-uint64_t
-registryValue(const char *name)
-{
-    const auto snap = obs::MetricsRegistry::global().snapshot();
-    auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
-}
 
 TEST(ServingEngineTest, JobsMatchIsolatedExecutionAndRepeat)
 {
@@ -977,23 +988,27 @@ TEST(ServingEngineTest, QueueDepthGaugesInRegistry)
     Program p = diamondProgram();
     ServingConfig cfg;
     cfg.workers = 2;
-    ServingEngine engine(&bgv, cfg);
+    {
+        ServingEngine engine(&bgv, cfg);
 
-    std::vector<std::future<JobResult>> futs;
-    for (uint64_t i = 0; i < 6; ++i) {
-        JobRequest req;
-        req.program = &p;
-        req.inputs.seed = i;
-        futs.push_back(engine.submit(std::move(req)));
+        std::vector<std::future<JobResult>> futs;
+        for (uint64_t i = 0; i < 6; ++i) {
+            JobRequest req;
+            req.program = &p;
+            req.inputs.seed = i;
+            futs.push_back(engine.submit(std::move(req)));
+        }
+        engine.drain();
+
+        auto snap = obs::MetricsRegistry::global().snapshot();
+        EXPECT_EQ(snap.counters.at("serving.queue_depth"), 0u);
+        EXPECT_GE(snap.counters.at("serving.queue_depth_peak"), 1u);
+        EXPECT_LE(snap.counters.at("serving.queue_depth_peak"), 6u);
+        for (auto &f : futs)
+            f.get();
     }
-    engine.drain();
-
-    auto snap = obs::MetricsRegistry::global().snapshot();
-    EXPECT_EQ(snap.counters.at("serving.queue_depth"), 0u);
-    EXPECT_GE(snap.counters.at("serving.queue_depth_peak"), 1u);
-    EXPECT_LE(snap.counters.at("serving.queue_depth_peak"), 6u);
-    for (auto &f : futs)
-        f.get();
+    // A stopped engine withdraws its peak.
+    EXPECT_EQ(registryValue("serving.queue_depth_peak"), 0u);
 }
 
 //

@@ -13,23 +13,50 @@
 #include "common/scratch.h"
 #include "fhe/fhe_context.h"
 #include "fhe/keyswitch.h"
+#include "obs/metrics.h"
 #include "poly/rns_poly.h"
 
 namespace f1 {
 namespace {
 
+// The arena's registry metrics (obs/metrics.h), read by name; tests
+// compare values before and after the work they measure.
+uint64_t
+checkouts()
+{
+    return obs::MetricsRegistry::global()
+        .counter("scratch.checkouts")
+        .value();
+}
+
+uint64_t
+heapAllocs()
+{
+    return obs::MetricsRegistry::global()
+        .counter("scratch.heap_allocs")
+        .value();
+}
+
+uint64_t
+live()
+{
+    return obs::MetricsRegistry::global().gauge("scratch.live").value();
+}
+
 TEST(Scratch, CheckoutReleasesAndReusesBlocks)
 {
     ScratchArena::releaseThreadCache();
-    ScratchArena::resetStats();
+    const uint64_t live0 = live();
+    const uint64_t allocs0 = heapAllocs();
+    const uint64_t checkouts0 = checkouts();
     {
         auto h = ScratchArena::u32(1000);
         for (size_t i = 0; i < h.size(); ++i)
             h[i] = static_cast<uint32_t>(i);
-        EXPECT_EQ(ScratchArena::stats().live, 1u);
+        EXPECT_EQ(live(), live0 + 1);
     }
-    EXPECT_EQ(ScratchArena::stats().live, 0u);
-    const uint64_t coldAllocs = ScratchArena::stats().heapAllocs;
+    EXPECT_EQ(live(), live0);
+    const uint64_t coldAllocs = heapAllocs() - allocs0;
     EXPECT_GE(coldAllocs, 1u);
 
     // Same-size re-checkout must come from the cache, not the heap.
@@ -37,8 +64,8 @@ TEST(Scratch, CheckoutReleasesAndReusesBlocks)
         auto h = ScratchArena::u32(1000);
         h[0] = 1;
     }
-    EXPECT_EQ(ScratchArena::stats().heapAllocs, coldAllocs);
-    EXPECT_EQ(ScratchArena::stats().checkouts, 101u);
+    EXPECT_EQ(heapAllocs() - allocs0, coldAllocs);
+    EXPECT_EQ(checkouts() - checkouts0, 101u);
 }
 
 TEST(Scratch, ZeroedCheckoutClearsPreviousContents)
@@ -75,17 +102,17 @@ TEST(Scratch, ConcurrentHandlesGetDistinctBuffers)
 TEST(Scratch, MoveTransfersOwnership)
 {
     ScratchArena::releaseThreadCache();
-    ScratchArena::resetStats();
+    const uint64_t live0 = live();
     auto a = ScratchArena::u32(128);
     uint32_t *p = a.data();
     ScratchArena::Handle<uint32_t> b = std::move(a);
     EXPECT_EQ(b.data(), p);
     EXPECT_EQ(b.size(), 128u);
-    EXPECT_EQ(ScratchArena::stats().live, 1u);
+    EXPECT_EQ(live(), live0 + 1);
     b.reset();
-    EXPECT_EQ(ScratchArena::stats().live, 0u);
+    EXPECT_EQ(live(), live0);
     b.reset(); // idempotent
-    EXPECT_EQ(ScratchArena::stats().live, 0u);
+    EXPECT_EQ(live(), live0);
 }
 
 TEST(Scratch, BestFitPrefersSmallestSufficientBlock)
@@ -99,11 +126,11 @@ TEST(Scratch, BestFitPrefersSmallestSufficientBlock)
         (void)big;
         (void)small;
     }
-    ScratchArena::resetStats();
+    const uint64_t allocs0 = heapAllocs();
     // A small request must not pin the big block.
     auto s = ScratchArena::u32(60);
     auto b = ScratchArena::u32(1 << 14);
-    EXPECT_EQ(ScratchArena::stats().heapAllocs, 0u)
+    EXPECT_EQ(heapAllocs() - allocs0, 0u)
         << "both requests should have been served from the cache";
     (void)s;
     (void)b;
@@ -123,14 +150,15 @@ TEST(Scratch, WorkerThreadsKeepTheirOwnCaches)
     // Each thread cold-allocates at most one block for this size
     // class, ever — so 20 sweeps x 64 checkouts may hit the heap at
     // most threads() times, no matter how iterations are claimed.
-    ScratchArena::resetStats();
+    const uint64_t live0 = live();
+    const uint64_t allocs0 = heapAllocs();
+    const uint64_t checkouts0 = checkouts();
     constexpr int kSweeps = 20;
     for (int i = 0; i < kSweeps; ++i)
         sweep();
-    const auto st = ScratchArena::stats();
-    EXPECT_EQ(st.checkouts, uint64_t{kSweeps} * 64);
-    EXPECT_LE(st.heapAllocs, uint64_t{globalThreadCount()});
-    EXPECT_EQ(st.live, 0u);
+    EXPECT_EQ(checkouts() - checkouts0, uint64_t{kSweeps} * 64);
+    EXPECT_LE(heapAllocs() - allocs0, uint64_t{globalThreadCount()});
+    EXPECT_EQ(live(), live0);
     setGlobalThreadCount(0);
 }
 
@@ -171,18 +199,19 @@ TEST_F(ScratchKeySwitchTest, ApplyIsAllocationFreeOnceWarm)
 
         auto warm = sw.apply(x, hint, 257);
         auto warm2 = sw.apply(x, hint, 257);
-        ScratchArena::resetStats();
+        const uint64_t live0 = live();
+        const uint64_t allocs0 = heapAllocs();
+        const uint64_t checkouts0 = checkouts();
         constexpr int kApplies = 4;
         for (int i = 0; i < kApplies; ++i) {
             auto out = sw.apply(x, hint, 257);
             EXPECT_EQ(out.first.raw(), warm.first.raw());
             EXPECT_EQ(out.second.raw(), warm.second.raw());
         }
-        const auto st = ScratchArena::stats();
-        EXPECT_EQ(st.heapAllocs, 0u)
+        EXPECT_EQ(heapAllocs() - allocs0, 0u)
             << "steady-state apply() hit the heap";
-        EXPECT_EQ(st.live, 0u);
-        EXPECT_GT(st.checkouts, 0u);
+        EXPECT_EQ(live(), live0);
+        EXPECT_GT(checkouts() - checkouts0, 0u);
         (void)warm2;
     }
     setGlobalThreadCount(0);
