@@ -41,9 +41,6 @@ class BasisExtender
     void extend(std::span<const uint32_t> in, size_t n,
                 std::span<uint32_t> out) const;
 
-    size_t sourceCount() const { return source_.size(); }
-    size_t targetCount() const { return target_.size(); }
-
   private:
     const PolyContext *ctx_;
     std::vector<size_t> source_, target_;

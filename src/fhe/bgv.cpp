@@ -25,48 +25,26 @@ keySwitchNoiseBits(const FheContext *ctx, uint64_t t, size_t level)
 
 BgvScheme::BgvScheme(const FheContext *ctx, uint64_t t,
                      KeySwitchVariant variant, uint64_t seed)
-    : ctx_(ctx), t_(t == 0 ? ctx->plainModulus() : t), variant_(variant),
-      seed_(seed), encoder_(ctx, t_ == 0 ? ctx->plainModulus() : t_),
-      switcher_(ctx), rng_(seed), sk_(switcher_.keyGen(rng_)),
-      sSquared_(sk_.s.mul(sk_.s)), hints_(0, "bgv_hints")
+    : RlweScheme(ctx, t == 0 ? ctx->plainModulus() : t, variant, seed,
+                 "bgv_hints"),
+      encoder_(ctx, plainModulus())
 {
-}
-
-void
-BgvScheme::adoptKey(const SecretKey &sk)
-{
-    sk_ = sk;
-    sSquared_ = sk_.s.mul(sk_.s);
-    hints_.clear();
 }
 
 Ciphertext
-BgvScheme::freshCiphertext(const RnsPoly &m, size_t level)
+BgvScheme::freshCiphertext(const RnsPoly &m, Rng &rng) const
 {
-    return freshCiphertext(m, level, rng_);
-}
-
-Ciphertext
-BgvScheme::freshCiphertext(const RnsPoly &m, size_t level, Rng &rng)
-{
-    RnsPoly c1 = RnsPoly::uniform(ctx_->polyContext(), level, rng);
-    RnsPoly e = ctx_->sampleError(level, rng);
-    e.mulScalar(t_);
-    RnsPoly c0 = m + e;
-    c0 -= c1.mul(sk_.s.restricted(level));
-
-    Ciphertext ct;
-    ct.polys.push_back(std::move(c0));
-    ct.polys.push_back(std::move(c1));
-    ct.noiseBits = std::log2(static_cast<double>(t_)) +
-                   0.5 * std::log2(static_cast<double>(ctx_->n())) + 4.0;
+    Ciphertext ct = encryptPolys(m, rng);
+    ct.noiseBits =
+        std::log2(static_cast<double>(plainModulus())) +
+        0.5 * std::log2(static_cast<double>(context()->n())) + 4.0;
     return ct;
 }
 
 Ciphertext
 BgvScheme::encryptSlots(std::span<const uint64_t> slots, size_t level)
 {
-    return encryptSlots(slots, level, rng_);
+    return encryptSlots(slots, level, rng());
 }
 
 Ciphertext
@@ -74,30 +52,20 @@ BgvScheme::encryptSlots(std::span<const uint64_t> slots, size_t level,
                         Rng &rng)
 {
     auto coeffs = encoder_.encodeSlots(slots);
-    return freshCiphertext(encoder_.toPoly(coeffs, level), level, rng);
+    return freshCiphertext(encoder_.toPoly(coeffs, level), rng);
 }
 
 Ciphertext
 BgvScheme::encryptCoeffs(std::span<const uint64_t> values, size_t level)
 {
     auto coeffs = encoder_.encodeCoeffs(values);
-    return freshCiphertext(encoder_.toPoly(coeffs, level), level);
+    return freshCiphertext(encoder_.toPoly(coeffs, level), rng());
 }
 
 Ciphertext
 BgvScheme::encryptPoly(const RnsPoly &m)
 {
-    return freshCiphertext(m, m.levels());
-}
-
-RnsPoly
-BgvScheme::decryptPhase(const Ciphertext &ct) const
-{
-    F1_CHECK(ct.polys.size() == 2, "decrypting non-relinearized ct");
-    const size_t level = ct.level();
-    RnsPoly phase = ct.polys[0];
-    phase += ct.polys[1].mul(sk_.s.restricted(level));
-    return phase;
+    return freshCiphertext(m, rng());
 }
 
 namespace {
@@ -119,11 +87,12 @@ BgvScheme::decryptCoeffs(const Ciphertext &ct) const
 {
     RnsPoly phase = decryptPhase(ct);
     phase.toCoeff();
-    const uint32_t n = ctx_->n();
+    const uint64_t t = plainModulus();
+    const uint32_t n = context()->n();
     std::vector<uint64_t> out(n);
     for (uint32_t i = 0; i < n; ++i) {
-        uint64_t m = phaseToPlain(phase.coeffCentered(i), t_);
-        out[i] = m * (ct.ptCorrection % t_) % t_;
+        uint64_t m = phaseToPlain(phase.coeffCentered(i), t);
+        out[i] = m * (ct.ptCorrection % t) % t;
     }
     return out;
 }
@@ -140,7 +109,7 @@ BgvScheme::measuredNoiseBits(const Ciphertext &ct) const
     RnsPoly phase = decryptPhase(ct);
     phase.toCoeff();
     size_t max_bits = 0;
-    for (uint32_t i = 0; i < ctx_->n(); ++i) {
+    for (uint32_t i = 0; i < context()->n(); ++i) {
         auto [mag, neg] = phase.coeffCentered(i);
         max_bits = std::max(max_bits, mag.bitLength());
     }
@@ -150,69 +119,48 @@ BgvScheme::measuredNoiseBits(const Ciphertext &ct) const
 double
 BgvScheme::noiseBudgetBits(const Ciphertext &ct) const
 {
-    return ctx_->logQ(ct.level()) - ct.noiseBits - 1.0;
-}
-
-Ciphertext
-BgvScheme::add(const Ciphertext &a, const Ciphertext &b) const
-{
-    F1_CHECK(a.level() == b.level(), "level mismatch in add");
-    F1_CHECK(a.ptCorrection == b.ptCorrection,
-             "plaintext-correction mismatch in add; modulus-switch "
-             "operands in lockstep");
-    Ciphertext out = a;
-    for (size_t i = 0; i < out.polys.size(); ++i)
-        out.polys[i] += b.polys[i];
-    out.noiseBits = std::max(a.noiseBits, b.noiseBits) + 1.0;
-    return out;
-}
-
-Ciphertext
-BgvScheme::sub(const Ciphertext &a, const Ciphertext &b) const
-{
-    F1_CHECK(a.level() == b.level(), "level mismatch in sub");
-    F1_CHECK(a.ptCorrection == b.ptCorrection,
-             "plaintext-correction mismatch in sub");
-    Ciphertext out = a;
-    for (size_t i = 0; i < out.polys.size(); ++i)
-        out.polys[i] -= b.polys[i];
-    out.noiseBits = std::max(a.noiseBits, b.noiseBits) + 1.0;
-    return out;
+    return context()->logQ(ct.level()) - ct.noiseBits - 1.0;
 }
 
 Ciphertext
 BgvScheme::addPlain(const Ciphertext &a,
                     std::span<const int64_t> coeffs) const
 {
+    return addPlainEncoded(a, encoder_.toPoly(coeffs, a.level()));
+}
+
+Ciphertext
+BgvScheme::addPlainEncoded(const Ciphertext &a, const RnsPoly &pt) const
+{
+    const uint64_t t = plainModulus();
     Ciphertext out = a;
-    // Plaintext correction must be undone on the constant: the stored
-    // ciphertext decrypts to m * corr; add c * corr^-1 so that the sum
-    // decrypts to (m + c) * corr... corr is tracked multiplicatively at
-    // decryption, so add corr^-1 * c.
-    RnsPoly pt = encoder_.toPoly(coeffs, a.level());
-    if (a.ptCorrection != 1) {
-        uint64_t inv = 1, corr = a.ptCorrection % t_, e = t_ - 2;
-        // corr^(t-2) mod t only valid for prime t; for power-of-two t
-        // use odd-inverse. Both cases: use invOdd via extended scheme.
-        if (t_ % 2 == 1) {
+    // The phase holds m * corr^-1 (decryption multiplies by corr), so
+    // add c * corr^-1: the sum then decrypts to m + c. Scale a copy;
+    // pt may be a shared cache entry.
+    if (a.ptCorrection == 1) {
+        out.polys[0] += pt;
+    } else {
+        uint64_t inv = 1, corr = a.ptCorrection % t;
+        if (t % 2 == 1) {
+            // Prime t: corr^(t-2) mod t.
             uint64_t base = corr;
-            while (e) {
+            for (uint64_t e = t - 2; e; e >>= 1) {
                 if (e & 1)
-                    inv = inv * base % t_;
-                base = base * base % t_;
-                e >>= 1;
+                    inv = inv * base % t;
+                base = base * base % t;
             }
         } else {
             // t power of two: correction is a product of odd primes,
             // invertible mod 2^k by Newton iteration.
             uint64_t x = corr;
             for (int i = 0; i < 6; ++i)
-                x = x * (2 - corr * x) % t_;
-            inv = x % t_;
+                x = x * (2 - corr * x) % t;
+            inv = x % t;
         }
-        pt.mulScalar(inv);
+        RnsPoly scaled = pt;
+        scaled.mulScalar(inv);
+        out.polys[0] += scaled;
     }
-    out.polys[0] += pt;
     out.noiseBits = a.noiseBits + 0.5;
     return out;
 }
@@ -221,93 +169,44 @@ Ciphertext
 BgvScheme::mulPlain(const Ciphertext &a,
                     std::span<const int64_t> coeffs) const
 {
+    return mulPlainEncoded(a, encoder_.toPoly(coeffs, a.level()));
+}
+
+Ciphertext
+BgvScheme::mulPlainEncoded(const Ciphertext &a, const RnsPoly &pt) const
+{
     Ciphertext out = a;
-    RnsPoly pt = encoder_.toPoly(coeffs, a.level());
     for (auto &p : out.polys)
         p.mulEq(pt);
-    out.noiseBits = a.noiseBits + std::log2(static_cast<double>(t_)) +
-                    0.5 * std::log2(static_cast<double>(ctx_->n())) + 1.0;
+    out.noiseBits =
+        a.noiseBits + std::log2(static_cast<double>(plainModulus())) +
+        0.5 * std::log2(static_cast<double>(context()->n())) + 1.0;
     return out;
-}
-
-std::shared_ptr<const KeySwitchHint>
-BgvScheme::relinHintShared(size_t level)
-{
-    return hints_.getOrCreate(HintKey{0, level}, [&] {
-        Rng rng(hintSeed(seed_, 0, level));
-        return switcher_.makeHint(sSquared_, sk_, level, t_, variant_,
-                                  rng);
-    });
-}
-
-std::shared_ptr<const KeySwitchHint>
-BgvScheme::galoisHintShared(uint64_t g, size_t level)
-{
-    return hints_.getOrCreate(HintKey{g, level}, [&] {
-        Rng rng(hintSeed(seed_, g, level));
-        RnsPoly sg = sk_.s.automorphism(g);
-        return switcher_.makeHint(sg, sk_, level, t_, variant_, rng);
-    });
-}
-
-const KeySwitchHint &
-BgvScheme::relinHint(size_t level)
-{
-    return *relinHintShared(level);
-}
-
-const KeySwitchHint &
-BgvScheme::galoisHint(uint64_t g, size_t level)
-{
-    return *galoisHintShared(g, level);
 }
 
 Ciphertext
 BgvScheme::mul(const Ciphertext &a, const Ciphertext &b)
 {
-    F1_CHECK(a.polys.size() == 2 && b.polys.size() == 2,
-             "mul expects relinearized inputs");
-    F1_CHECK(a.level() == b.level(), "level mismatch in mul");
-    const size_t level = a.level();
-
-    // Tensor: (l0, l1, l2) = (a0*b0, a0*b1 + a1*b0, a1*b1) (§2.2.1).
-    RnsPoly l0 = a.polys[0].mul(b.polys[0]);
-    RnsPoly l1 = a.polys[0].mul(b.polys[1]);
-    l1 += a.polys[1].mul(b.polys[0]);
-    RnsPoly l2 = a.polys[1].mul(b.polys[1]);
-
-    // Pin the hint so a capped cache evicting it mid-apply is safe.
-    auto hint = relinHintShared(level);
-    auto [u0, u1] = switcher_.apply(l2, *hint, t_);
-
-    Ciphertext out;
-    out.polys.push_back(l0 + u0);
-    out.polys.push_back(l1 + u1);
+    const uint64_t t = plainModulus();
+    Ciphertext out = relinTensor(a, b);
     double tensor = a.noiseBits + b.noiseBits +
-                    0.5 * std::log2(static_cast<double>(ctx_->n())) + 2.0;
+                    0.5 * std::log2(static_cast<double>(context()->n())) +
+                    2.0;
     out.noiseBits =
-        std::max(tensor, keySwitchNoiseBits(ctx_, t_, level)) + 1.0;
-    out.ptCorrection =
-        a.ptCorrection * b.ptCorrection % t_;
+        std::max(tensor, keySwitchNoiseBits(context(), t, a.level())) +
+        1.0;
+    out.ptCorrection = a.ptCorrection * b.ptCorrection % t;
     return out;
 }
 
 Ciphertext
 BgvScheme::applyGalois(const Ciphertext &a, uint64_t g)
 {
-    F1_CHECK(a.polys.size() == 2, "galois expects relinearized input");
-    const size_t level = a.level();
-    RnsPoly c0 = a.polys[0].automorphism(g);
-    RnsPoly c1 = a.polys[1].automorphism(g);
-
-    auto hint = galoisHintShared(g, level);
-    auto [u0, u1] = switcher_.apply(c1, *hint, t_);
-
-    Ciphertext out;
-    out.polys.push_back(c0 + u0);
-    out.polys.push_back(std::move(u1));
-    out.noiseBits =
-        std::max(a.noiseBits, keySwitchNoiseBits(ctx_, t_, level)) + 1.0;
+    Ciphertext out = galoisSwitch(a, g);
+    out.noiseBits = std::max(a.noiseBits,
+                             keySwitchNoiseBits(context(), plainModulus(),
+                                                a.level())) +
+                    1.0;
     out.ptCorrection = a.ptCorrection;
     return out;
 }
@@ -328,18 +227,18 @@ Ciphertext
 BgvScheme::modSwitch(const Ciphertext &a) const
 {
     F1_CHECK(a.level() >= 2, "cannot modulus-switch below level 1");
+    const uint64_t t = plainModulus();
     Ciphertext out = a;
-    const uint32_t dropped = ctx_->ciphertextPrime(a.level() - 1);
+    const uint32_t dropped = context()->ciphertextPrime(a.level() - 1);
     for (auto &p : out.polys)
-        dropLastModulusRounded(p, t_);
+        dropLastModulusRounded(p, t);
     const double floor_bits =
-        std::log2(static_cast<double>(t_)) +
-        0.5 * std::log2(static_cast<double>(ctx_->n())) + 3.0;
+        std::log2(static_cast<double>(t)) +
+        0.5 * std::log2(static_cast<double>(context()->n())) + 3.0;
     out.noiseBits =
         std::max(a.noiseBits - std::log2((double)dropped), floor_bits) +
         1.0;
-    out.ptCorrection =
-        a.ptCorrection * (dropped % t_) % t_;
+    out.ptCorrection = a.ptCorrection * (dropped % t) % t;
     return out;
 }
 

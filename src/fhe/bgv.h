@@ -2,36 +2,28 @@
  * @file
  * The BGV leveled FHE scheme (paper §2.2) over the RNS substrate:
  * symmetric encryption, homomorphic add/multiply/rotate, modulus
- * switching, and conservative noise tracking.
+ * switching, and conservative noise tracking. Keys, hints, encryption's
+ * (c0, c1), add/sub and the key-switched products come from the RLWE
+ * core shared with CKKS (fhe/rlwe.h, which also states the thread
+ * safety); this class adds the slot encoder, the plaintext modulus t
+ * (the core's error scale) and the noise and correction rules.
  *
  * Decryption invariant: c0 + c1*s = m + t*e (mod Q_level), with m the
  * centered encoded plaintext and |m + t*e| < Q/2 required for correct
  * decryption. noiseBits tracks log2|m + t*e| conservatively.
- *
- * Thread safety: after construction, homomorphic operations
- * (add/sub/mul/rotate/...) on distinct ciphertexts may run
- * concurrently — the hint cache is internally synchronized and hint
- * randomness is derived per identity (see hintSeed), so results do
- * not depend on which thread generates a hint first. The encryption
- * paths that draw from the scheme's internal PRNG are NOT thread-safe;
- * concurrent encryptors must use the overloads taking an explicit Rng.
  */
 #ifndef F1_FHE_BGV_H
 #define F1_FHE_BGV_H
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
-#include "fhe/ciphertext.h"
 #include "fhe/encoder.h"
-#include "fhe/fhe_context.h"
-#include "fhe/keyswitch.h"
+#include "fhe/rlwe.h"
 
 namespace f1 {
 
-class BgvScheme
+class BgvScheme : public RlweScheme
 {
   public:
     /**
@@ -44,14 +36,8 @@ class BgvScheme
               KeySwitchVariant variant = KeySwitchVariant::kDigitLxL,
               uint64_t seed = 7);
 
-    /** Shares an existing secret key (bootstrapping helper schemes). */
-    void adoptKey(const SecretKey &sk);
-
-    const FheContext *context() const { return ctx_; }
     const BgvEncoder &encoder() const { return encoder_; }
-    uint64_t plainModulus() const { return t_; }
-    const SecretKey &secretKey() const { return sk_; }
-    KeySwitchVariant variant() const { return variant_; }
+    uint64_t plainModulus() const { return errorScale(); }
 
     //
     // Encryption / decryption
@@ -80,9 +66,6 @@ class BgvScheme
     std::vector<uint64_t> decryptSlots(const Ciphertext &ct) const;
     std::vector<uint64_t> decryptCoeffs(const Ciphertext &ct) const;
 
-    /** Raw decryption phase c0 + c1*s (NTT domain). */
-    RnsPoly decryptPhase(const Ciphertext &ct) const;
-
     /** log2 of the largest centered phase coefficient (true noise). */
     double measuredNoiseBits(const Ciphertext &ct) const;
 
@@ -90,15 +73,24 @@ class BgvScheme
     double noiseBudgetBits(const Ciphertext &ct) const;
 
     //
-    // Homomorphic operations
+    // Homomorphic operations (add and sub are the core's)
     //
 
-    Ciphertext add(const Ciphertext &a, const Ciphertext &b) const;
-    Ciphertext sub(const Ciphertext &a, const Ciphertext &b) const;
     Ciphertext addPlain(const Ciphertext &a,
                         std::span<const int64_t> coeffs) const;
     Ciphertext mulPlain(const Ciphertext &a,
                         std::span<const int64_t> coeffs) const;
+
+    /**
+     * As addPlain and mulPlain, but taking an ALREADY-ENCODED plaintext
+     * polynomial at a.level() (encoder().toPoly of the coefficients) —
+     * the executor's encoding-cache path, where one encoded constant
+     * serves many jobs. `pt` is never modified.
+     */
+    Ciphertext addPlainEncoded(const Ciphertext &a,
+                               const RnsPoly &pt) const;
+    Ciphertext mulPlainEncoded(const Ciphertext &a,
+                               const RnsPoly &pt) const;
 
     /** Full homomorphic multiply: tensor + relinearization. */
     Ciphertext mul(const Ciphertext &a, const Ciphertext &b);
@@ -119,44 +111,10 @@ class BgvScheme
      *  (used by bootstrapping's inverse-power-of-two trick). */
     Ciphertext mulScalarInt(const Ciphertext &a, uint64_t scalar) const;
 
-    //
-    // Key-switch hint access (shared with the compiler layer, which
-    // accounts for hint loads).
-    //
-
-    /**
-     * Reference accessors. The reference is owned by the hint cache
-     * and stays valid only while the entry is cached — with the
-     * default unbounded capacity, forever. Callers that cap the cache
-     * must use the shared accessors instead.
-     */
-    const KeySwitchHint &relinHint(size_t level);
-    const KeySwitchHint &galoisHint(uint64_t g, size_t level);
-
-    /** Pinning accessors: safe under concurrent eviction. */
-    std::shared_ptr<const KeySwitchHint> relinHintShared(size_t level);
-    std::shared_ptr<const KeySwitchHint> galoisHintShared(uint64_t g,
-                                                          size_t level);
-
-    /** Caps the hint cache (0 = unbounded, the default). Its counts
-     *  are the registry's cache.bgv_hints.* metrics. */
-    void setHintCacheCapacity(size_t cap) { hints_.setCapacity(cap); }
-
   private:
-    Ciphertext freshCiphertext(const RnsPoly &m, size_t level);
-    Ciphertext freshCiphertext(const RnsPoly &m, size_t level,
-                               Rng &rng);
+    Ciphertext freshCiphertext(const RnsPoly &m, Rng &rng) const;
 
-    const FheContext *ctx_;
-    uint64_t t_;
-    KeySwitchVariant variant_;
-    uint64_t seed_; //!< root of the per-hint randomness derivation
     BgvEncoder encoder_;
-    KeySwitcher switcher_;
-    mutable Rng rng_;
-    SecretKey sk_;
-    RnsPoly sSquared_; //!< s^2 over the full chain (relin source key)
-    HintCache hints_;
 };
 
 } // namespace f1

@@ -49,10 +49,6 @@ class BgvBootstrapper
     /** Level at which bootstrapped ciphertexts emerge. */
     size_t outputLevel() const;
 
-    /** The auxiliary scheme (plaintext modulus 2^d) used internally;
-     *  exposed so instrumentation can count its operations. */
-    BgvScheme &innerScheme() { return inner_; }
-
   private:
     BgvScheme *scheme_;
     uint32_t digits_;

@@ -8,39 +8,17 @@ namespace f1 {
 
 CkksScheme::CkksScheme(const FheContext *ctx, KeySwitchVariant variant,
                        uint64_t seed)
-    : ctx_(ctx), variant_(variant), seed_(seed), encoder_(ctx),
-      switcher_(ctx), rng_(seed), sk_(switcher_.keyGen(rng_)),
-      sSquared_(sk_.s.mul(sk_.s)), hints_(0, "ckks_hints")
+    : RlweScheme(ctx, 1, variant, seed, "ckks_hints"), encoder_(ctx)
 {
-}
-
-void
-CkksScheme::adoptKey(const SecretKey &sk)
-{
-    sk_ = sk;
-    sSquared_ = sk_.s.mul(sk_.s);
-    hints_.clear();
 }
 
 Ciphertext
-CkksScheme::freshCiphertext(const RnsPoly &m, double scale)
+CkksScheme::freshCiphertext(const RnsPoly &m, double scale,
+                            Rng &rng) const
 {
-    return freshCiphertext(m, scale, rng_);
-}
-
-Ciphertext
-CkksScheme::freshCiphertext(const RnsPoly &m, double scale, Rng &rng)
-{
-    const size_t level = m.levels();
-    RnsPoly c1 = RnsPoly::uniform(ctx_->polyContext(), level, rng);
-    RnsPoly c0 = m + ctx_->sampleError(level, rng);
-    c0 -= c1.mul(sk_.s.restricted(level));
-
-    Ciphertext ct;
-    ct.polys.push_back(std::move(c0));
-    ct.polys.push_back(std::move(c1));
+    Ciphertext ct = encryptPolys(m, rng);
     ct.scale = scale;
-    ct.noiseBits = 0.5 * std::log2((double)ctx_->n()) + 4.0;
+    ct.noiseBits = 0.5 * std::log2((double)context()->n()) + 4.0;
     return ct;
 }
 
@@ -48,7 +26,7 @@ Ciphertext
 CkksScheme::encrypt(std::span<const std::complex<double>> slots,
                     size_t level)
 {
-    return encrypt(slots, level, rng_);
+    return encrypt(slots, level, rng());
 }
 
 Ciphertext
@@ -71,101 +49,34 @@ CkksScheme::encryptReal(std::span<const double> slots, size_t level)
 Ciphertext
 CkksScheme::encryptPoly(const RnsPoly &m, double scale)
 {
-    return freshCiphertext(m, scale);
+    return freshCiphertext(m, scale, rng());
 }
 
 std::vector<std::complex<double>>
 CkksScheme::decrypt(const Ciphertext &ct) const
 {
-    F1_CHECK(ct.polys.size() == 2, "decrypting non-relinearized ct");
-    RnsPoly phase = ct.polys[0];
-    phase += ct.polys[1].mul(sk_.s.restricted(ct.level()));
-    return encoder_.decode(phase, ct.scale);
-}
-
-Ciphertext
-CkksScheme::add(const Ciphertext &a, const Ciphertext &b) const
-{
-    F1_CHECK(a.level() == b.level(), "level mismatch in add");
-    // Primes are only approximately equal to the scale, so rescaled
-    // operands drift; deep circuits (bootstrapping) compound it to a
-    // few percent. The mismatch perturbs the smaller addend by the
-    // drift fraction, which stays below our precision targets; reject
-    // only gross mismatches (wrong-scale operands).
-    F1_CHECK(std::abs(a.scale - b.scale) <=
-                 0.15 * std::max(a.scale, b.scale),
-             "scale mismatch in CKKS add: " << a.scale << " vs "
-             << b.scale);
-    Ciphertext out = a;
-    for (size_t i = 0; i < out.polys.size(); ++i)
-        out.polys[i] += b.polys[i];
-    out.noiseBits = std::max(a.noiseBits, b.noiseBits) + 1.0;
-    return out;
-}
-
-Ciphertext
-CkksScheme::sub(const Ciphertext &a, const Ciphertext &b) const
-{
-    F1_CHECK(a.level() == b.level(), "level mismatch in sub");
-    Ciphertext out = a;
-    for (size_t i = 0; i < out.polys.size(); ++i)
-        out.polys[i] -= b.polys[i];
-    out.noiseBits = std::max(a.noiseBits, b.noiseBits) + 1.0;
-    return out;
-}
-
-std::shared_ptr<const KeySwitchHint>
-CkksScheme::relinHintShared(size_t level)
-{
-    return hints_.getOrCreate(HintKey{0, level}, [&] {
-        Rng rng(hintSeed(seed_, 0, level));
-        return switcher_.makeHint(sSquared_, sk_, level, 1, variant_,
-                                  rng);
-    });
-}
-
-std::shared_ptr<const KeySwitchHint>
-CkksScheme::galoisHintShared(uint64_t g, size_t level)
-{
-    return hints_.getOrCreate(HintKey{g, level}, [&] {
-        Rng rng(hintSeed(seed_, g, level));
-        RnsPoly sg = sk_.s.automorphism(g);
-        return switcher_.makeHint(sg, sk_, level, 1, variant_, rng);
-    });
-}
-
-const KeySwitchHint &
-CkksScheme::relinHint(size_t level)
-{
-    return *relinHintShared(level);
-}
-
-const KeySwitchHint &
-CkksScheme::galoisHint(uint64_t g, size_t level)
-{
-    return *galoisHintShared(g, level);
+    return encoder_.decode(decryptPhase(ct), ct.scale);
 }
 
 Ciphertext
 CkksScheme::mul(const Ciphertext &a, const Ciphertext &b)
 {
-    F1_CHECK(a.level() == b.level(), "level mismatch in mul");
-    const size_t level = a.level();
-
-    RnsPoly l0 = a.polys[0].mul(b.polys[0]);
-    RnsPoly l1 = a.polys[0].mul(b.polys[1]);
-    l1 += a.polys[1].mul(b.polys[0]);
-    RnsPoly l2 = a.polys[1].mul(b.polys[1]);
-
-    auto hint = relinHintShared(level);
-    auto [u0, u1] = switcher_.apply(l2, *hint, 1);
-
-    Ciphertext out;
-    out.polys.push_back(l0 + u0);
-    out.polys.push_back(l1 + u1);
+    Ciphertext out = relinTensor(a, b);
     out.scale = a.scale * b.scale;
     out.noiseBits = a.noiseBits + b.noiseBits +
-                    0.5 * std::log2((double)ctx_->n()) + 2.0;
+                    0.5 * std::log2((double)context()->n()) + 2.0;
+    return out;
+}
+
+Ciphertext
+CkksScheme::mulEncoded(const Ciphertext &a, const RnsPoly &pt,
+                       double ptScale) const
+{
+    Ciphertext out = a;
+    for (auto &p : out.polys)
+        p.mulEq(pt);
+    out.scale = a.scale * ptScale;
+    out.noiseBits = a.noiseBits + std::log2(ptScale) + 1.0;
     return out;
 }
 
@@ -173,38 +84,23 @@ Ciphertext
 CkksScheme::mulPlain(const Ciphertext &a,
                      std::span<const std::complex<double>> slots) const
 {
-    RnsPoly pt = encoder_.encode(slots, defaultScale(), a.level());
-    Ciphertext out = a;
-    for (auto &p : out.polys)
-        p.mulEq(pt);
-    out.scale = a.scale * defaultScale();
-    out.noiseBits = a.noiseBits + std::log2(defaultScale()) + 1.0;
-    return out;
+    return mulEncoded(a, encoder_.encode(slots, defaultScale(), a.level()),
+                      defaultScale());
 }
 
 Ciphertext
 CkksScheme::mulPlainEncoded(const Ciphertext &a,
                             const RnsPoly &pt) const
 {
-    Ciphertext out = a;
-    for (auto &p : out.polys)
-        p.mulEq(pt);
-    out.scale = a.scale * defaultScale();
-    out.noiseBits = a.noiseBits + std::log2(defaultScale()) + 1.0;
-    return out;
+    return mulEncoded(a, pt, defaultScale());
 }
 
 Ciphertext
 CkksScheme::mulConst(const Ciphertext &a, double c) const
 {
-    RnsPoly pt =
-        encoder_.encodeConstant(c, defaultScale(), a.level());
-    Ciphertext out = a;
-    for (auto &p : out.polys)
-        p.mulEq(pt);
-    out.scale = a.scale * defaultScale();
-    out.noiseBits = a.noiseBits + std::log2(defaultScale()) + 1.0;
-    return out;
+    return mulEncoded(
+        a, encoder_.encodeConstant(c, defaultScale(), a.level()),
+        defaultScale());
 }
 
 Ciphertext
@@ -212,24 +108,15 @@ CkksScheme::mulConstAtScale(const Ciphertext &a, double c,
                             double encodeScale) const
 {
     F1_CHECK(encodeScale > 1.0, "encode scale too small to quantize");
-    RnsPoly pt = encoder_.encodeConstant(c, encodeScale, a.level());
-    Ciphertext out = a;
-    for (auto &p : out.polys)
-        p.mulEq(pt);
-    out.scale = a.scale * encodeScale;
-    out.noiseBits = a.noiseBits + std::log2(encodeScale) + 1.0;
-    return out;
+    return mulEncoded(a, encoder_.encodeConstant(c, encodeScale, a.level()),
+                      encodeScale);
 }
 
 Ciphertext
 CkksScheme::addPlain(const Ciphertext &a,
                      std::span<const std::complex<double>> slots) const
 {
-    RnsPoly pt = encoder_.encode(slots, a.scale, a.level());
-    Ciphertext out = a;
-    out.polys[0] += pt;
-    out.noiseBits = a.noiseBits + 0.5;
-    return out;
+    return addPlainEncoded(a, encoder_.encode(slots, a.scale, a.level()));
 }
 
 Ciphertext
@@ -245,11 +132,8 @@ CkksScheme::addPlainEncoded(const Ciphertext &a,
 Ciphertext
 CkksScheme::addConst(const Ciphertext &a, double c) const
 {
-    RnsPoly pt = encoder_.encodeConstant(c, a.scale, a.level());
-    Ciphertext out = a;
-    out.polys[0] += pt;
-    out.noiseBits = a.noiseBits + 0.5;
-    return out;
+    return addPlainEncoded(a,
+                           encoder_.encodeConstant(c, a.scale, a.level()));
 }
 
 Ciphertext
@@ -257,7 +141,7 @@ CkksScheme::rescale(const Ciphertext &a) const
 {
     F1_CHECK(a.level() >= 2, "cannot rescale below level 1");
     Ciphertext out = a;
-    const uint32_t dropped = ctx_->ciphertextPrime(a.level() - 1);
+    const uint32_t dropped = context()->ciphertextPrime(a.level() - 1);
     for (auto &p : out.polys)
         dropLastModulusRounded(p, 1);
     out.scale = a.scale / static_cast<double>(dropped);
@@ -290,15 +174,7 @@ CkksScheme::modDownTo(const Ciphertext &a, size_t level) const
 Ciphertext
 CkksScheme::applyGalois(const Ciphertext &a, uint64_t g)
 {
-    const size_t level = a.level();
-    RnsPoly c0 = a.polys[0].automorphism(g);
-    RnsPoly c1 = a.polys[1].automorphism(g);
-    auto hint = galoisHintShared(g, level);
-    auto [u0, u1] = switcher_.apply(c1, *hint, 1);
-
-    Ciphertext out;
-    out.polys.push_back(c0 + u0);
-    out.polys.push_back(std::move(u1));
+    Ciphertext out = galoisSwitch(a, g);
     out.scale = a.scale;
     out.noiseBits = a.noiseBits + 1.0;
     return out;

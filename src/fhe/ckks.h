@@ -1,44 +1,33 @@
 /**
  * @file
  * The CKKS approximate FHE scheme (paper §2.5): fixed-point arithmetic
- * on N/2 complex slots with explicit rescaling. Shares the ciphertext
- * layout and key-switching machinery with BGV; errors enter unscaled
- * (errorScale = 1) and accuracy is managed through the scale Δ.
- *
- * Thread safety matches BgvScheme: homomorphic operations on distinct
- * ciphertexts may run concurrently (synchronized hint cache with
- * order-independent hint randomness); concurrent encryptors must use
- * the overload taking an explicit Rng.
+ * on N/2 complex slots with explicit rescaling. Keys, hints,
+ * encryption's (c0, c1), add/sub and the key-switched products come
+ * from the RLWE core shared with BGV (fhe/rlwe.h, which also states
+ * the thread safety); errors enter unscaled (errorScale = 1) and
+ * accuracy is managed through the scale Δ, which this class tracks.
  */
 #ifndef F1_FHE_CKKS_H
 #define F1_FHE_CKKS_H
 
 #include <complex>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "fhe/ciphertext.h"
 #include "fhe/encoder.h"
-#include "fhe/fhe_context.h"
-#include "fhe/keyswitch.h"
+#include "fhe/rlwe.h"
 
 namespace f1 {
 
-class CkksScheme
+class CkksScheme : public RlweScheme
 {
   public:
     CkksScheme(const FheContext *ctx,
                KeySwitchVariant variant = KeySwitchVariant::kDigitLxL,
                uint64_t seed = 9);
 
-    void adoptKey(const SecretKey &sk);
-
-    const FheContext *context() const { return ctx_; }
     const CkksEncoder &encoder() const { return encoder_; }
-    double defaultScale() const { return ctx_->ckksScale(); }
-    const SecretKey &secretKey() const { return sk_; }
-    KeySwitchVariant variant() const { return variant_; }
+    double defaultScale() const { return context()->ckksScale(); }
 
     /** Encrypts N/2 complex slots at the default scale. */
     Ciphertext encrypt(std::span<const std::complex<double>> slots,
@@ -58,11 +47,8 @@ class CkksScheme
     std::vector<std::complex<double>> decrypt(const Ciphertext &ct) const;
 
     //
-    // Homomorphic operations
+    // Homomorphic operations (add and sub are the core's)
     //
-
-    Ciphertext add(const Ciphertext &a, const Ciphertext &b) const;
-    Ciphertext sub(const Ciphertext &a, const Ciphertext &b) const;
 
     /** Tensor + relinearize; output scale = scale_a * scale_b. */
     Ciphertext mul(const Ciphertext &a, const Ciphertext &b);
@@ -129,31 +115,16 @@ class CkksScheme
     /** Applies σ_g for a raw Galois element (trace computations). */
     Ciphertext applyGalois(const Ciphertext &a, uint64_t g);
 
-    /** See BgvScheme::relinHint for the reference-lifetime caveat. */
-    const KeySwitchHint &relinHint(size_t level);
-    const KeySwitchHint &galoisHint(uint64_t g, size_t level);
-
-    /** Pinning accessors: safe under concurrent eviction. */
-    std::shared_ptr<const KeySwitchHint> relinHintShared(size_t level);
-    std::shared_ptr<const KeySwitchHint> galoisHintShared(uint64_t g,
-                                                          size_t level);
-
-    void setHintCacheCapacity(size_t cap) { hints_.setCapacity(cap); }
-
   private:
-    Ciphertext freshCiphertext(const RnsPoly &m, double scale);
     Ciphertext freshCiphertext(const RnsPoly &m, double scale,
-                               Rng &rng);
+                               Rng &rng) const;
 
-    const FheContext *ctx_;
-    KeySwitchVariant variant_;
-    uint64_t seed_;
+    /** Shared body of the plaintext and constant multiplies: pt is
+     *  encoded at ptScale and a's level. */
+    Ciphertext mulEncoded(const Ciphertext &a, const RnsPoly &pt,
+                          double ptScale) const;
+
     CkksEncoder encoder_;
-    KeySwitcher switcher_;
-    mutable Rng rng_;
-    SecretKey sk_;
-    RnsPoly sSquared_;
-    HintCache hints_;
 };
 
 } // namespace f1

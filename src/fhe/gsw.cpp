@@ -16,22 +16,16 @@ GswScheme::encryptRlwePrime(const RnsPoly &w, size_t level)
 {
     // Identical structure to the digit key-switch hint: digit i's phase
     // carries P_i * w, with P_i ≡ δ_ij (mod q_j).
-    const PolyContext *pc = ctx_->polyContext();
     const uint64_t t = bgv_->plainModulus();
     Rng rng(0x65370000 ^ level); // deterministic per level
     const RnsPoly s = bgv_->secretKey().s.restricted(level);
 
     RlwePrime out;
     for (size_t i = 0; i < level; ++i) {
-        RnsPoly ai = RnsPoly::uniform(pc, level, rng);
-        RnsPoly bi = ai.mul(s);
-        bi.negate();
-        RnsPoly e = ctx_->sampleError(level, rng);
-        e.mulScalar(t);
-        bi += e;
+        auto [ai, bi] = rlweSample(ctx_, s, t, rng);
         auto bres = bi.residue(i);
         auto wres = w.residue(i);
-        const uint32_t qi = pc->modulus(i);
+        const uint32_t qi = ctx_->polyContext()->modulus(i);
         for (size_t j = 0; j < bres.size(); ++j)
             bres[j] = addMod(bres[j], wres[j], qi);
         out.a.push_back(std::move(ai));

@@ -16,6 +16,20 @@ KeySwitcher::keyGen(Rng &rng) const
         ctx_->sampleTernary(ctx_->polyContext()->chainLength(), rng)};
 }
 
+std::pair<RnsPoly, RnsPoly>
+rlweSample(const FheContext *ctx, const RnsPoly &s, uint64_t errorScale,
+           Rng &rng)
+{
+    RnsPoly a = RnsPoly::uniform(ctx->polyContext(), s.levels(), rng);
+    RnsPoly b = a.mul(s);
+    b.negate();
+    RnsPoly e = ctx->sampleError(s.levels(), rng);
+    if (errorScale != 1)
+        e.mulScalar(errorScale);
+    b += e;
+    return {std::move(a), std::move(b)};
+}
+
 namespace {
 
 /**
@@ -70,12 +84,7 @@ KeySwitcher::makeHint(const RnsPoly &w, const SecretKey &sk, size_t level,
         const uint32_t p_sp = ctx_->specialPrime();
         const size_t chain_len = pc->chainLength();
         for (size_t i = 0; i < level; ++i) {
-            RnsPoly ai = RnsPoly::uniform(pc, chain_len, rng);
-            RnsPoly bi = ai.mul(sk.s);
-            bi.negate();
-            RnsPoly e = ctx_->sampleError(chain_len, rng);
-            e.mulScalar(errorScale);
-            bi += e;
+            auto [ai, bi] = rlweSample(ctx_, sk.s, errorScale, rng);
             // += p_sp * P_i * w on every residue. With
             // w_i = [(Q/q_i)^-1 mod q_i] as an integer,
             // P_i mod m = (Q/q_i mod m) * (w_i mod m).
@@ -118,19 +127,12 @@ KeySwitcher::makeHint(const RnsPoly &w, const SecretKey &sk, size_t level,
                "GHS key-switching needs P >= Q: auxCount ("
                << aux << ") must cover the hint level (" << level
                << ")");
-    const size_t chain_len = pc->chainLength();
     F1_CHECK(level <= ctx_->maxLevel(), "level beyond chain");
 
-    // Build an RnsPoly view over residues {0..level-1} ∪ aux block by
-    // using a full-chain poly and zeroing the unused middle: to keep
-    // the data layout simple, hints always span the full chain; apply()
-    // reads the residues it needs.
-    RnsPoly a = RnsPoly::uniform(pc, chain_len, rng);
-    RnsPoly b = a.mul(sk.s);
-    b.negate();
-    RnsPoly e = ctx_->sampleError(chain_len, rng);
-    e.mulScalar(errorScale);
-    b += e;
+    // To keep the data layout simple, the hint spans the full chain
+    // (the key's level); apply() reads residues {0..level-1} and the
+    // aux block.
+    auto [a, b] = rlweSample(ctx_, sk.s, errorScale, rng);
     // += P * w on ciphertext residues (P ≡ 0 on aux residues).
     parallelForLimbs(ctx_->maxLevel(), [&](size_t j) {
         const uint32_t qj = pc->modulus(j);

@@ -56,9 +56,6 @@ struct KeySwitchHint
      *  set for traffic accounting. A: 2*L*(L+1); B: 2*(L+K). */
     size_t usedRVecs = 0;
     size_t sizeRVecs() const { return usedRVecs; }
-
-    /** Size in bytes at degree n. */
-    size_t sizeBytes(uint32_t n) const { return sizeRVecs() * n * 4; }
 };
 
 /**
@@ -106,6 +103,15 @@ hintSeed(uint64_t schemeSeed, uint64_t galois, uint64_t level)
         hashCombine(hashCombine(schemeSeed, 0x6b73776869ULL), galois),
         level);
 }
+
+/**
+ * One RLWE sample under secret s: (a, b) with a uniform at s's level
+ * and b = -a*s + errorScale*e, e a fresh error. Draws a, then e, from
+ * `rng`. Encryption, key-switch hints and RLWE' rows all start here.
+ */
+std::pair<RnsPoly, RnsPoly> rlweSample(const FheContext *ctx,
+                                       const RnsPoly &s,
+                                       uint64_t errorScale, Rng &rng);
 
 class KeySwitcher
 {

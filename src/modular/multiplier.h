@@ -82,9 +82,6 @@ class MontgomeryMultiplier : public ModMultiplier
     /** REDC(T) = T * 2^-32 mod q for T < q * 2^32; exposed for reuse. */
     uint32_t redc(uint64_t t) const;
 
-    /** Map x into the Montgomery domain (x * 2^32 mod q). */
-    uint32_t toMont(uint32_t x) const { return redc((uint64_t)x * r2_); }
-
   protected:
     uint32_t qInvNeg_; //!< -q^-1 mod 2^32
     uint32_t r2_;      //!< 2^64 mod q

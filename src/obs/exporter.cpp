@@ -129,15 +129,19 @@ renderPrometheus(const MetricsSnapshot &snap)
     // interleaved with other names in the sorted registry maps.
     std::map<std::string, Family> families;
 
-    for (const auto &[name, value] : snap.counters) {
-        const FamilyName fn = mapName(name);
-        // The snapshot folds counters and gauges into one map, so the
-        // honest shared type is gauge (queue depths legitimately go
-        // down; Prometheus counters must not).
-        Family &fam = families[fn.family];
-        std::ostringstream line;
-        line << withLabels(fn.family, fn.labels) << ' ' << value;
-        fam.lines.push_back(line.str());
+    // Counters are monotonic between registry resets, so a scraper's
+    // rate() reads a reset as a counter reset; gauges go up and down.
+    for (const auto &[scalars, type] :
+         {std::pair{&snap.counters, "counter"},
+          std::pair{&snap.gauges, "gauge"}}) {
+        for (const auto &[name, value] : *scalars) {
+            const FamilyName fn = mapName(name);
+            Family &fam = families[fn.family];
+            fam.type = type;
+            std::ostringstream line;
+            line << withLabels(fn.family, fn.labels) << ' ' << value;
+            fam.lines.push_back(line.str());
+        }
     }
 
     for (const auto &[name, h] : snap.histograms) {

@@ -5,8 +5,11 @@
  *
  * Endpoints:
  *  - /metrics        Prometheus text exposition (format 0.0.4)
- *                    rendered from a MetricsSnapshot: every scalar as
- *                    a gauge family, every histogram as cumulative
+ *                    rendered from a MetricsSnapshot: each counter
+ *                    under "# TYPE <family> counter" (a registry
+ *                    reset reads as a counter reset to rate()), each
+ *                    gauge under "# TYPE <family> gauge", every
+ *                    histogram as cumulative
  *                    _bucket{le=...}/_sum/_count series plus a
  *                    <name>_quantile{quantile=...} gauge family for
  *                    the histogram's configured quantile set (value

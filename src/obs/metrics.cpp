@@ -149,17 +149,22 @@ std::string
 MetricsSnapshot::toJson() const
 {
     std::ostringstream os;
+    const auto scalars = [&os](const std::map<std::string, uint64_t> &m) {
+        bool first = true;
+        for (const auto &[name, v] : m) {
+            if (!first)
+                os << ", ";
+            first = false;
+            appendJsonString(os, name);
+            os << ": " << v;
+        }
+    };
     os << "{\"counters\": {";
-    bool first = true;
-    for (const auto &[name, v] : counters) {
-        if (!first)
-            os << ", ";
-        first = false;
-        appendJsonString(os, name);
-        os << ": " << v;
-    }
+    scalars(counters);
+    os << "}, \"gauges\": {";
+    scalars(gauges);
     os << "}, \"histograms\": {";
-    first = true;
+    bool first = true;
     for (const auto &[name, h] : histograms) {
         if (!first)
             os << ", ";
@@ -264,7 +269,7 @@ MetricsRegistry::snapshot() const
     for (const auto &[name, c] : counters_)
         s.counters[name] = c->value();
     for (const auto &[name, g] : gauges_)
-        s.counters[name] = g->value();
+        s.gauges[name] = g->value();
     for (const auto &[name, h] : histograms_)
         s.histograms[name] = h->snapshot();
     return s;

@@ -180,12 +180,16 @@ std::span<const double> defaultQuantiles();
 
 struct MetricsSnapshot
 {
-    /** Every counter and gauge value, by name. */
+    /** Every counter value, by name. */
     std::map<std::string, uint64_t> counters;
+    /** Every gauge value, by name (a name has one kind, so the two
+     *  maps never share a key). */
+    std::map<std::string, uint64_t> gauges;
     std::map<std::string, HistogramSnapshot> histograms;
 
-    /** One JSON object: {"counters": {...}, "histograms": {...}}.
-     *  Keys are sorted, so the output is deterministic. */
+    /** One JSON object: {"counters": {...}, "gauges": {...},
+     *  "histograms": {...}}. Keys are sorted, so the output is
+     *  deterministic. */
     std::string toJson() const;
 };
 

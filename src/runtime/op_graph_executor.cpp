@@ -8,6 +8,7 @@
 #include <exception>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.h"
@@ -109,35 +110,62 @@ struct ExecutorMetrics
     }
 };
 
-const std::vector<uint64_t> *
-bgvBinding(const RuntimeInputs &in, int h)
+using BgvSlots = std::vector<uint64_t>;
+using CkksSlots = std::vector<std::complex<double>>;
+
+/** The slots bound to handle h, or nullptr if none are; a binding of
+ *  the other scheme's slot type is rejected. */
+template <typename Slots>
+const Slots *
+binding(const RuntimeInputs &in, int h)
 {
     auto it = in.bindings.find(h);
     if (it == in.bindings.end())
         return nullptr;
-    const auto *v = std::get_if<std::vector<uint64_t>>(&it->second);
-    F1_REQUIRE(v != nullptr,
-               "input binding for handle "
-                   << h
-                   << " holds CKKS slot data, but the executor runs a "
-                      "BGV program");
+    const auto *v = std::get_if<Slots>(&it->second);
+    constexpr bool kBgv = std::is_same_v<Slots, BgvSlots>;
+    F1_REQUIRE(v != nullptr, "input binding for handle "
+                                 << h << " holds "
+                                 << (kBgv ? "CKKS" : "BGV")
+                                 << " slot data, but the executor runs a "
+                                 << (kBgv ? "BGV" : "CKKS")
+                                 << " program");
     return v;
 }
 
-const std::vector<std::complex<double>> *
-ckksBinding(const RuntimeInputs &in, int h)
+/** Content hash of slot data (length-prefixed; CKKS hashes the bits
+ *  of each real and imaginary part). */
+uint64_t
+slotsHash(const BgvSlots &slots)
 {
-    auto it = in.bindings.find(h);
-    if (it == in.bindings.end())
-        return nullptr;
-    const auto *v =
-        std::get_if<std::vector<std::complex<double>>>(&it->second);
-    F1_REQUIRE(v != nullptr,
-               "input binding for handle "
-                   << h
-                   << " holds BGV slot data, but the executor runs a "
-                      "CKKS program");
-    return v;
+    return hashU64Span(slots);
+}
+
+uint64_t
+slotsHash(const CkksSlots &slots)
+{
+    uint64_t h = hashMix(slots.size());
+    for (const std::complex<double> &s : slots) {
+        h = hashCombine(h, std::bit_cast<uint64_t>(s.real()));
+        h = hashCombine(h, std::bit_cast<uint64_t>(s.imag()));
+    }
+    return h;
+}
+
+/**
+ * EncodingKey::paramsFp for a scheme over ctx with BGV plaintext
+ * modulus t (0 for CKKS): encodings are residues mod the context's
+ * primes, and BGV's also depend on t. The scheme tag keeps the two key
+ * spaces disjoint.
+ */
+uint64_t
+encodingParamsFp(const FheContext &ctx, uint64_t t)
+{
+    uint64_t fp = hashCombine(hashMix(t != 0 ? 0xe4c0de : 0xc4c5de),
+                              ctx.n());
+    for (size_t i = 0; i < ctx.maxLevel(); ++i)
+        fp = hashCombine(fp, ctx.ciphertextPrime(i));
+    return t != 0 ? hashCombine(fp, t) : fp;
 }
 
 /**
@@ -178,8 +206,8 @@ struct OpPriority
 struct OpGraphExecutor::Member
 {
     std::vector<std::optional<Ciphertext>> cts;
-    std::vector<std::shared_ptr<const std::vector<int64_t>>> bgvPts;
-    std::vector<std::vector<std::complex<double>>> ckksSlots;
+    /** Plaintext inputs' slots, encoded at each consuming op. */
+    std::vector<InputBinding> plainSlots;
     std::vector<std::optional<Ciphertext>> outs;
     uint64_t encodingCacheHits = 0;
     uint64_t encodingCacheMisses = 0;
@@ -247,13 +275,17 @@ struct OpGraphExecutor::RunState
 };
 
 OpGraphExecutor::OpGraphExecutor(const Program &prog, BgvScheme *bgv)
-    : prog_(prog), fp_(prog.fingerprint()), bgv_(bgv)
+    : prog_(prog), fp_(prog.fingerprint()), bgv_(bgv), rlwe_(bgv),
+      slotOrder_(&bgv->encoder().slotOrder()),
+      encodingFp_(encodingParamsFp(*bgv->context(), bgv->plainModulus()))
 {
     buildGraph();
 }
 
 OpGraphExecutor::OpGraphExecutor(const Program &prog, CkksScheme *ckks)
-    : prog_(prog), fp_(prog.fingerprint()), ckks_(ckks)
+    : prog_(prog), fp_(prog.fingerprint()), ckks_(ckks), rlwe_(ckks),
+      slotOrder_(&ckks->encoder().slotOrder()),
+      encodingFp_(encodingParamsFp(*ckks->context(), 0))
 {
     buildGraph();
 }
@@ -339,161 +371,96 @@ OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
     // excluded" stance.
     if (first) {
         for (const HeOp &op : ops) {
-            if (op.kind == HeOpKind::kMul) {
-                if (bgv_)
-                    bgv_->relinHintShared(op.level);
-                else
-                    ckks_->relinHintShared(op.level);
-            } else if (op.kind == HeOpKind::kRotate ||
-                       op.kind == HeOpKind::kConjugate) {
-                const auto &order =
-                    bgv_ ? bgv_->encoder().slotOrder()
-                         : ckks_->encoder().slotOrder();
-                const uint64_t g =
-                    op.kind == HeOpKind::kRotate
-                        ? order.rotationGalois(op.rotateBy)
-                        : order.conjugationGalois();
-                if (bgv_)
-                    bgv_->galoisHintShared(g, op.level);
-                else
-                    ckks_->galoisHintShared(g, op.level);
-            }
+            if (op.kind == HeOpKind::kMul)
+                rlwe_->relinHintShared(op.level);
+            else if (op.kind == HeOpKind::kRotate)
+                rlwe_->galoisHintShared(
+                    slotOrder_->rotationGalois(op.rotateBy), op.level);
+            else if (op.kind == HeOpKind::kConjugate)
+                rlwe_->galoisHintShared(slotOrder_->conjugationGalois(),
+                                        op.level);
         }
     }
 
-    // Inputs: encryption and encoding run serially in program order
-    // with a per-member Rng, so each member's prepared state is a pure
+    // Inputs: encryption runs serially in program order with a
+    // per-member Rng, so each member's prepared state is a pure
     // function of (program, inputs, seed) — independent of concurrent
-    // jobs AND of the other batch members.
+    // jobs AND of the other batch members. Unbound sources draw their
+    // slots from the same Rng, in the same order.
     Rng rng(in.seed);
+    const auto slotsFor = [&](int h) -> InputBinding {
+        if (bgv_) {
+            const auto *bound = binding<BgvSlots>(in, h);
+            return bound ? *bound
+                         : rng.uniformVector(n, bgv_->plainModulus());
+        }
+        if (const auto *bound = binding<CkksSlots>(in, h))
+            return *bound;
+        CkksSlots slots(n / 2);
+        for (auto &s : slots)
+            s = {rng.uniformReal(-1, 1), 0.0};
+        return slots;
+    };
     for (size_t i = 0; i < ops.size(); ++i) {
         const HeOp &op = ops[i];
         const int h = static_cast<int>(i);
         if (op.kind == HeOpKind::kInput) {
-            if (bgv_) {
-                const auto *bound = bgvBinding(in, h);
-                std::vector<uint64_t> slots =
-                    bound ? *bound
-                          : rng.uniformVector(n, bgv_->plainModulus());
-                m.cts[h] = bgv_->encryptSlots(slots, op.level, rng);
-            } else {
-                const auto *bound = ckksBinding(in, h);
-                std::vector<std::complex<double>> slots(n / 2);
-                if (bound) {
-                    slots = *bound;
-                } else {
-                    for (auto &s : slots)
-                        s = {rng.uniformReal(-1, 1), 0.0};
-                }
-                m.cts[h] = ckks_->encrypt(slots, op.level, rng);
-            }
+            const InputBinding slots = slotsFor(h);
+            m.cts[h] =
+                bgv_ ? bgv_->encryptSlots(std::get<BgvSlots>(slots),
+                                          op.level, rng)
+                     : ckks_->encrypt(std::get<CkksSlots>(slots),
+                                      op.level, rng);
             if (first)
                 ++st.resident; // structural count, same for everyone
         } else if (op.kind == HeOpKind::kInputPlain) {
-            if (bgv_) {
-                const auto *bound = bgvBinding(in, h);
-                std::vector<uint64_t> slots =
-                    bound ? *bound
-                          : rng.uniformVector(n, bgv_->plainModulus());
-                m.bgvPts[h] = encodeBgvPlain(slots, st, m);
-            } else {
-                const auto *bound = ckksBinding(in, h);
-                std::vector<std::complex<double>> slots(n / 2);
-                if (bound) {
-                    slots = *bound;
-                } else {
-                    for (auto &s : slots)
-                        s = {rng.uniformReal(-1, 1), 0.0};
-                }
-                // Raw slots; encoded (and cached) lazily at the
-                // consuming op, where scale and level are known.
-                m.ckksSlots[h] = std::move(slots);
-            }
+            // Encoded (and cached) at the consuming op, where the
+            // level and the CKKS scale are known.
+            m.plainSlots[h] = slotsFor(h);
         }
     }
     st.peakResident = st.resident;
 }
 
-std::shared_ptr<const std::vector<int64_t>>
-OpGraphExecutor::encodeBgvPlain(std::span<const uint64_t> slots,
-                                RunState &st, Member &m) const
+/**
+ * Encodes plaintext slots at (scale, level) — BGV ignores the scale —
+ * through the shared cache when the policy has one: repeated model
+ * weights across jobs and batch members encode once. Determinism:
+ * encoding is a pure function of (scheme parameters, slots, scale,
+ * level), all in the key, so cached and fresh encodings are
+ * bit-identical.
+ */
+std::shared_ptr<const RnsPoly>
+OpGraphExecutor::encodePlain(const InputBinding &slots, double scale,
+                             size_t level, RunState &st,
+                             Member &m) const
 {
-    if (!st.encCache) {
-        return std::make_shared<const std::vector<int64_t>>(
-            bgv_->encoder().encodeSlots(slots));
-    }
-    EncodingKey key;
-    key.paramsFp =
-        hashCombine(hashCombine(hashMix(0xe4c0de), prog_.n()),
-                    bgv_->plainModulus());
-    key.dataHash = hashU64Span(slots);
-    const auto alias = [](std::shared_ptr<const EncodedPlaintext> p) {
-        const auto *v = std::get_if<std::vector<int64_t>>(p.get());
-        F1_CHECK(v != nullptr,
-                 "encoding-cache entry holds a CKKS value under a BGV "
-                 "key");
-        return std::shared_ptr<const std::vector<int64_t>>(
-            std::move(p), v);
+    const auto encode = [&] {
+        if (bgv_) {
+            const BgvEncoder &enc = bgv_->encoder();
+            return enc.toPoly(
+                enc.encodeSlots(std::get<BgvSlots>(slots)), level);
+        }
+        return ckks_->encoder().encode(std::get<CkksSlots>(slots), scale,
+                                       level);
     };
+    if (!st.encCache)
+        return std::make_shared<const RnsPoly>(encode());
+    EncodingKey key;
+    key.paramsFp = encodingFp_;
+    key.dataHash =
+        std::visit([](const auto &v) { return slotsHash(v); }, slots);
+    key.shapeFp = hashCombine(
+        hashCombine(hashMix(0x5ca1e), std::bit_cast<uint64_t>(scale)),
+        level);
     if (auto hit = st.encCache->get(key)) {
         ++m.encodingCacheHits;
-        return alias(std::move(hit));
+        return hit;
     }
     ++m.encodingCacheMisses;
     // A concurrent job may race the same miss; put() keeps the first
     // value, and both values are identical (encoding is pure).
-    return alias(st.encCache->put(
-        key, EncodedPlaintext(bgv_->encoder().encodeSlots(slots))));
-}
-
-/**
- * CKKS counterpart of encodeBgvPlain: plaintext slots are encoded to
- * an RnsPoly at the consuming ciphertext's (scale, level), and the
- * result is content-addressed in the shared cache — repeated model
- * weights across jobs and batch members encode once. Determinism:
- * encoding is a pure function of (primes, slots, scale, level), all
- * in the key, so cached and fresh encodings are bit-identical.
- */
-std::shared_ptr<const RnsPoly>
-OpGraphExecutor::encodeCkksPlain(
-    std::span<const std::complex<double>> slots, double scale,
-    size_t level, RunState &st, Member &m) const
-{
-    if (!st.encCache) {
-        return std::make_shared<const RnsPoly>(
-            ckks_->encoder().encode(slots, scale, level));
-    }
-    const FheContext &ctx = *ckks_->context();
-    EncodingKey key;
-    key.paramsFp = hashCombine(hashMix(0xc4c5de), prog_.n());
-    for (size_t i = 0; i < ctx.maxLevel(); ++i)
-        key.paramsFp = hashCombine(key.paramsFp, ctx.ciphertextPrime(i));
-    uint64_t dh = hashMix(slots.size());
-    for (const std::complex<double> &s : slots) {
-        dh = hashCombine(dh, std::bit_cast<uint64_t>(s.real()));
-        dh = hashCombine(dh, std::bit_cast<uint64_t>(s.imag()));
-    }
-    key.dataHash = dh;
-    key.shapeFp =
-        hashCombine(hashCombine(hashMix(0x5ca1e),
-                                std::bit_cast<uint64_t>(scale)),
-                    level);
-    const auto alias = [](std::shared_ptr<const EncodedPlaintext> p) {
-        const auto *v = std::get_if<RnsPoly>(p.get());
-        F1_CHECK(v != nullptr,
-                 "encoding-cache entry holds a BGV value under a CKKS "
-                 "key");
-        return std::shared_ptr<const RnsPoly>(std::move(p), v);
-    };
-    if (auto hit = st.encCache->get(key)) {
-        ++m.encodingCacheHits;
-        return alias(std::move(hit));
-    }
-    ++m.encodingCacheMisses;
-    return alias(st.encCache->put(
-        key,
-        EncodedPlaintext(ckks_->encoder().encode(slots, scale,
-                                                 level))));
+    return st.encCache->put(key, encode());
 }
 
 void
@@ -510,34 +477,29 @@ OpGraphExecutor::executeOp(int h, RunState &st, Member &m) const
       case HeOpKind::kInputPlain:
         break; // materialized by prepare()
       case HeOpKind::kAdd:
-        m.cts[h] = bgv_ ? bgv_->add(ct(op.a), ct(op.b))
-                        : ckks_->add(ct(op.a), ct(op.b));
+        m.cts[h] = rlwe_->add(ct(op.a), ct(op.b));
         break;
       case HeOpKind::kSub:
-        m.cts[h] = bgv_ ? bgv_->sub(ct(op.a), ct(op.b))
-                        : ckks_->sub(ct(op.a), ct(op.b));
+        m.cts[h] = rlwe_->sub(ct(op.a), ct(op.b));
         break;
-      case HeOpKind::kAddPlain:
-        if (bgv_) {
-            m.cts[h] = bgv_->addPlain(ct(op.a), *m.bgvPts[op.b]);
-        } else {
-            const Ciphertext &a = ct(op.a);
-            auto pt = encodeCkksPlain(m.ckksSlots[op.b], a.scale,
-                                      a.level(), st, m);
-            m.cts[h] = ckks_->addPlainEncoded(a, *pt);
-        }
+      case HeOpKind::kAddPlain: {
+        // Added plaintexts are encoded at the ciphertext's scale.
+        const Ciphertext &a = ct(op.a);
+        auto pt = encodePlain(m.plainSlots[op.b], a.scale, a.level(), st,
+                              m);
+        m.cts[h] = bgv_ ? bgv_->addPlainEncoded(a, *pt)
+                        : ckks_->addPlainEncoded(a, *pt);
         break;
-      case HeOpKind::kMulPlain:
-        if (bgv_) {
-            m.cts[h] = bgv_->mulPlain(ct(op.a), *m.bgvPts[op.b]);
-        } else {
-            const Ciphertext &a = ct(op.a);
-            auto pt = encodeCkksPlain(m.ckksSlots[op.b],
-                                      ckks_->defaultScale(),
-                                      a.level(), st, m);
-            m.cts[h] = ckks_->mulPlainEncoded(a, *pt);
-        }
+      }
+      case HeOpKind::kMulPlain: {
+        const Ciphertext &a = ct(op.a);
+        auto pt = encodePlain(m.plainSlots[op.b],
+                              bgv_ ? 0.0 : ckks_->defaultScale(),
+                              a.level(), st, m);
+        m.cts[h] = bgv_ ? bgv_->mulPlainEncoded(a, *pt)
+                        : ckks_->mulPlainEncoded(a, *pt);
         break;
+      }
       case HeOpKind::kMul:
         m.cts[h] = bgv_ ? bgv_->mul(ct(op.a), ct(op.b))
                         : ckks_->mul(ct(op.a), ct(op.b));
@@ -789,8 +751,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
         Member &m = st.members[b];
         m.cts.resize(n);
         m.outs.resize(n);
-        m.bgvPts.resize(n);
-        m.ckksSlots.resize(n);
+        m.plainSlots.resize(n);
         m.traceId = inputs[b].traceId;
         m.memberIndex = uint32_t(b);
     }

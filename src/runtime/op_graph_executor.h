@@ -164,20 +164,20 @@ struct ExecutionResult
  * than (program, handle) addressing) keeps the cache correct across
  * tenants that reuse a program shape with different constants.
  *
- * BGV encodings are coefficients mod t, so paramsFp folds (n, t) and
- * shapeFp stays 0. CKKS encodings are residues mod the context's
- * primes, so paramsFp folds n and the modulus chain, and they also
- * depend on the encoding scale and the ciphertext level they are
- * lifted to, so shapeFp folds both in — the same slot data encoded at
- * two scales occupies two entries. The scheme tag inside paramsFp
+ * Both schemes cache the RnsPoly a plaintext op consumes: the slots
+ * encoded and lifted to the consuming ciphertext's level. Its residues
+ * are taken mod the context's primes, so paramsFp folds the scheme
+ * tag, n and the ciphertext primes, and for BGV t. shapeFp folds the
+ * level and, for CKKS, the encoding scale: the same slot data used at
+ * two levels (or CKKS scales) occupies two entries. The scheme tag
  * keeps the two key spaces disjoint, so one shared cache serves mixed
  * traffic.
  */
 struct EncodingKey
 {
-    uint64_t paramsFp = 0; //!< scheme tag + ring/modulus fingerprint
+    uint64_t paramsFp = 0; //!< scheme tag, n, primes, BGV t
     uint64_t dataHash = 0; //!< content hash of the slot data
-    uint64_t shapeFp = 0;  //!< CKKS (scale, level); 0 for BGV
+    uint64_t shapeFp = 0;  //!< level and CKKS encoding scale
     bool operator==(const EncodingKey &) const = default;
 };
 
@@ -191,16 +191,9 @@ struct EncodingKeyHash
     }
 };
 
-/**
- * A cached plaintext encoding: BGV centered coefficients, or a CKKS
- * plaintext polynomial already lifted to its target (scale, level).
- */
-using EncodedPlaintext = std::variant<std::vector<int64_t>, RnsPoly>;
-
-/** Shared cache of plaintext encodings for BOTH schemes (the serving
- *  engine owns one and passes it to every job). */
-using EncodingCache =
-    LruCache<EncodingKey, EncodedPlaintext, EncodingKeyHash>;
+/** Shared cache of lifted plaintext encodings for BOTH schemes (the
+ *  serving engine owns one and passes it to every job). */
+using EncodingCache = LruCache<EncodingKey, RnsPoly, EncodingKeyHash>;
 
 /**
  * Everything that shapes one execution, in one struct — the runtime
@@ -268,13 +261,9 @@ class OpGraphExecutor
     void buildGraph();
     void prepare(const RuntimeInputs &in, RunState &st,
                  Member &m, bool first) const;
-    std::shared_ptr<const std::vector<int64_t>>
-    encodeBgvPlain(std::span<const uint64_t> slots, RunState &st,
-                   Member &m) const;
     std::shared_ptr<const RnsPoly>
-    encodeCkksPlain(std::span<const std::complex<double>> slots,
-                    double scale, size_t level, RunState &st,
-                    Member &m) const;
+    encodePlain(const InputBinding &slots, double scale, size_t level,
+                RunState &st, Member &m) const;
     void executeOp(int h, RunState &st, Member &m) const;
     //! executeOp + telemetry
     void runOp(int h, RunState &st, Member &m) const;
@@ -284,6 +273,9 @@ class OpGraphExecutor
     uint64_t fp_ = 0; //!< prog_.fingerprint(), cached for event hooks
     BgvScheme *bgv_ = nullptr;
     CkksScheme *ckks_ = nullptr;
+    RlweScheme *rlwe_ = nullptr; //!< the scheme's RLWE core
+    const SlotOrder *slotOrder_ = nullptr; //!< Galois elements
+    uint64_t encodingFp_ = 0; //!< EncodingKey::paramsFp of this scheme
 
     // Graph structure, fixed per program.
     std::vector<std::vector<int>> dependents_; //!< ct-edge successors

@@ -53,11 +53,14 @@ struct ServingMetrics
     }
 };
 
+/** The value of `name` in one of a snapshot's scalar maps; 0 if
+ *  absent. */
 uint64_t
-counterOrZero(const obs::MetricsSnapshot &snap, const char *name)
+valueOrZero(const std::map<std::string, uint64_t> &scalars,
+            const std::string &name)
 {
-    auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
+    auto it = scalars.find(name);
+    return it == scalars.end() ? 0 : it->second;
 }
 
 } // namespace
@@ -80,11 +83,11 @@ AdmissionController::decide(const obs::MetricsSnapshot &snap,
     }
     if (limits_.maxBacklog != 0) {
         const uint64_t sub =
-            counterOrZero(snap, "serving.jobs_submitted");
+            valueOrZero(snap.counters, "serving.jobs_submitted");
         const uint64_t done =
-            counterOrZero(snap, "serving.jobs_completed");
+            valueOrZero(snap.counters, "serving.jobs_completed");
         const uint64_t fail =
-            counterOrZero(snap, "serving.jobs_failed");
+            valueOrZero(snap.counters, "serving.jobs_failed");
         const uint64_t backlog =
             sub > done + fail ? sub - done - fail : 0;
         if (backlog >= limits_.maxBacklog) {
@@ -117,8 +120,8 @@ AdmissionController::decide(const obs::MetricsSnapshot &snap,
         // burning the error budget exactly at the sustainable rate).
         // Windowed, so unlike the cumulative p95 check it re-admits
         // by itself once the tenant's recent jobs meet deadlines.
-        const uint64_t milli = counterOrZero(
-            snap, ("slo." + tenantName + ".burn_rate").c_str());
+        const uint64_t milli = valueOrZero(
+            snap.gauges, "slo." + tenantName + ".burn_rate");
         const double rate = double(milli) / 1000.0;
         if (rate >= limits_.maxBurnRate) {
             d.admit = false;
@@ -131,15 +134,6 @@ AdmissionController::decide(const obs::MetricsSnapshot &snap,
         }
     }
     return d;
-}
-
-AdmissionController::Decision
-AdmissionController::decide(const std::string &tenantName,
-                            const TenantPolicy &tenant,
-                            size_t tenantQueueDepth) const
-{
-    return decide(obs::MetricsRegistry::global().snapshot(),
-                  tenantName, tenant, tenantQueueDepth);
 }
 
 ServingEngine::ServingEngine(BgvScheme *bgv, ServingConfig cfg)

@@ -164,11 +164,6 @@ class AdmissionController
                     const TenantPolicy &tenant,
                     size_t tenantQueueDepth) const;
 
-    /** Decision from MetricsRegistry::global().snapshot(). */
-    Decision decide(const std::string &tenantName,
-                    const TenantPolicy &tenant,
-                    size_t tenantQueueDepth) const;
-
     const AdmissionLimits &limits() const { return limits_; }
 
   private:
@@ -280,15 +275,6 @@ class ServingEngine
 
     /** Blocks until every job submitted so far has completed. */
     void drain();
-
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /** The admission controller this engine consults (configured
-     *  from ServingConfig::admission). */
-    const AdmissionController &admission() const { return admission_; }
 
     /** Per-tenant SLO state (deadline attainment, burn rate) for
      *  every tenant this engine has completed jobs for; also the

@@ -89,8 +89,8 @@ TEST(PrometheusRenderTest, ScalarsHistogramsAndLabels)
 {
     obs::MetricsSnapshot snap;
     snap.counters["serving.jobs_submitted"] = 5;
-    snap.counters["slo.alice.burn_rate"] = 1500;
-    snap.counters["slo.team.a.burn_rate"] = 700; // dotted tenant id
+    snap.gauges["slo.alice.burn_rate"] = 1500;
+    snap.gauges["slo.team.a.burn_rate"] = 700; // dotted tenant id
     snap.counters["cache.enc.hits"] = 2;
 
     obs::HistogramSnapshot h;
@@ -103,10 +103,13 @@ TEST(PrometheusRenderTest, ScalarsHistogramsAndLabels)
 
     const std::string text = obs::renderPrometheus(snap);
 
-    // Scalars render as gauges under the f1_ prefix.
+    // Scalars render under the f1_ prefix, counters as counters and
+    // gauges as gauges.
     EXPECT_TRUE(
-        contains(text, "# TYPE f1_serving_jobs_submitted gauge"));
+        contains(text, "# TYPE f1_serving_jobs_submitted counter"));
     EXPECT_TRUE(contains(text, "f1_serving_jobs_submitted 5"));
+    EXPECT_TRUE(contains(text, "# TYPE f1_slo_burn_rate gauge"));
+    EXPECT_TRUE(contains(text, "# TYPE f1_cache_hits counter"));
 
     // slo.<tenant>.<leaf> aggregates under one family with a tenant
     // label — including tenant ids that themselves contain dots.
@@ -277,8 +280,8 @@ TEST(SloTrackerTest, PublishesScaledRegistryGauges)
 
     auto snap = obs::MetricsRegistry::global().snapshot();
     // Attainment in basis points, burn rate in milli-units.
-    EXPECT_EQ(snap.counters.at("slo.slo_t_gauge.attainment"), 5000u);
-    EXPECT_EQ(snap.counters.at("slo.slo_t_gauge.burn_rate"), 50000u);
+    EXPECT_EQ(snap.gauges.at("slo.slo_t_gauge.attainment"), 5000u);
+    EXPECT_EQ(snap.gauges.at("slo.slo_t_gauge.burn_rate"), 50000u);
     EXPECT_EQ(snap.counters.at("slo.slo_t_gauge.deadline_misses"),
               1u);
 }
@@ -295,7 +298,7 @@ TEST(AdmissionBurnRateTest, ShedsOnSloBurnRateMetric)
     TenantPolicy tp;
 
     obs::MetricsSnapshot snap;
-    snap.counters["slo.bob.burn_rate"] = 5000; // 5.0x budget burn
+    snap.gauges["slo.bob.burn_rate"] = 5000; // 5.0x budget burn
 
     auto hot = ctl.decide(snap, "bob", tp, 0);
     EXPECT_FALSE(hot.admit);
@@ -304,10 +307,10 @@ TEST(AdmissionBurnRateTest, ShedsOnSloBurnRateMetric)
 
     // Below threshold, an unknown tenant, or an empty tenant name
     // (the burn-rate check is skipped) all admit.
-    snap.counters["slo.bob.burn_rate"] = 1500;
+    snap.gauges["slo.bob.burn_rate"] = 1500;
     EXPECT_TRUE(ctl.decide(snap, "bob", tp, 0).admit);
     EXPECT_TRUE(ctl.decide(snap, "carol", tp, 0).admit);
-    snap.counters["slo.bob.burn_rate"] = 5000;
+    snap.gauges["slo.bob.burn_rate"] = 5000;
     EXPECT_TRUE(ctl.decide(snap, "", tp, 0).admit);
 }
 
@@ -348,7 +351,7 @@ TEST(ServingEngineSloTest, BurnRateFromMissedDeadlinesShedsTenant)
     engine.submit(makeReq(1)).get();
     auto snap = reg.snapshot();
     EXPECT_EQ(snap.counters.at("slo.slo_hot.deadline_misses"), 1u);
-    EXPECT_GE(snap.counters.at("slo.slo_hot.burn_rate"), 2000u);
+    EXPECT_GE(snap.gauges.at("slo.slo_hot.burn_rate"), 2000u);
 
     // The next submit is shed BY the SLO metric, not by backlog.
     EXPECT_THROW(engine.submit(makeReq(2)), AdmissionRejected);
@@ -391,15 +394,15 @@ TEST(ServingEngineSloTest, DestroyedEngineBurnRateDoesNotShedLaterEngine)
     {
         ServingEngine engine(&bgv, cfg);
         engine.submit(makeReq(1)).get();
-        EXPECT_GE(reg.snapshot().counters.at("slo.slo_gone.burn_rate"),
+        EXPECT_GE(reg.snapshot().gauges.at("slo.slo_gone.burn_rate"),
                   2000u);
         EXPECT_THROW(engine.submit(makeReq(2)), AdmissionRejected);
     }
     // The tracker that measured the burn is gone; its tenant's gauges
     // read an empty window, not the dead engine's last burn.
     auto snap = reg.snapshot();
-    EXPECT_EQ(snap.counters.at("slo.slo_gone.burn_rate"), 0u);
-    EXPECT_EQ(snap.counters.at("slo.slo_gone.attainment"), 10000u);
+    EXPECT_EQ(snap.gauges.at("slo.slo_gone.burn_rate"), 0u);
+    EXPECT_EQ(snap.gauges.at("slo.slo_gone.attainment"), 10000u);
 
     // So a later engine with the same limit admits the tenant.
     ServingEngine later(&bgv, cfg);
@@ -701,7 +704,7 @@ TEST(ServingEngineSloTest, BurnRatePenaltyDeprioritizesDispatch)
 
     // Prime the hot tenant's burn rate with one guaranteed miss.
     engine.submit(makeReq("pen_hot", 1)).get();
-    EXPECT_GE(reg.snapshot().counters.at("slo.pen_hot.burn_rate"),
+    EXPECT_GE(reg.snapshot().gauges.at("slo.pen_hot.burn_rate"),
               75000u); // milli-units
 
     // Occupy the single worker, then queue cold and hot jobs behind

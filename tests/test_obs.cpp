@@ -96,8 +96,12 @@ uint64_t
 registryValue(const std::string &name)
 {
     const auto snap = obs::MetricsRegistry::global().snapshot();
-    auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
+    for (const auto *scalars : {&snap.counters, &snap.gauges}) {
+        auto it = scalars->find(name);
+        if (it != scalars->end())
+            return it->second;
+    }
+    return 0;
 }
 
 TEST(MetricsRegistryTest, GaugesKeepTheirLevelAcrossReset)
@@ -170,12 +174,21 @@ TEST(MetricsRegistryTest, SnapshotExportsValidJson)
 {
     auto &reg = obs::MetricsRegistry::global();
     reg.counter("obs_test.json \"quoted\"\\name").inc();
+    reg.gauge("obs_test.json_gauge").set(3);
     reg.histogram("obs_test.json_hist").observe(0.42);
     std::string why;
-    const std::string json = reg.snapshot().toJson();
+    const auto snap = reg.snapshot();
+    const std::string json = snap.toJson();
     EXPECT_TRUE(isValidJson(json, &why)) << why << "\n" << json;
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+    // Gauges sit in their own map and JSON object, apart from the
+    // counters.
+    EXPECT_EQ(snap.gauges.at("obs_test.json_gauge"), 3u);
+    EXPECT_EQ(snap.counters.count("obs_test.json_gauge"), 0u);
+    const size_t gauges = json.find("\"gauges\": {");
+    ASSERT_NE(gauges, std::string::npos);
+    EXPECT_GT(json.find("\"obs_test.json_gauge\": 3"), gauges);
 }
 
 TEST(MetricsRegistryTest, CountersBitStableAcrossThreadCounts)
@@ -705,9 +718,9 @@ TEST(CalibrationTest, RecoversSyntheticLinearFit)
 
     // The kind's gauges publish into the registry (slope in milli).
     auto snap = obs::MetricsRegistry::global().snapshot();
-    EXPECT_EQ(snap.counters.at("calib.unit_kind.samples"), 200u);
-    EXPECT_EQ(snap.counters.at("calib.unit_kind.slope_milli"), 3000u);
-    EXPECT_EQ(snap.counters.at("calib.unit_kind.intercept_ns"), 500u);
+    EXPECT_EQ(snap.gauges.at("calib.unit_kind.samples"), 200u);
+    EXPECT_EQ(snap.gauges.at("calib.unit_kind.slope_milli"), 3000u);
+    EXPECT_EQ(snap.gauges.at("calib.unit_kind.intercept_ns"), 500u);
 
     // Out-of-range kinds and null names are ignored, never fatal.
     calib.record(obs::ScheduleCalibration::kMaxKinds, "over", 1, 1);

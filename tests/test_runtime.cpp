@@ -6,7 +6,8 @@
  * under InlineParallelScope; liveness-based release; cycle rejection;
  * an op throwing mid-walk on a multi-worker pool), batched execution
  * (executeBatch bit-identity against solo runs for BGV and CKKS,
- * shared encoding cache accounting and its modulus-chain key), and
+ * shared encoding cache accounting and its modulus-chain key for both
+ * schemes, with decryptions checked against plaintext arithmetic), and
  * the multi-tenant serving pipeline (admission control driven by the
  * metrics registry, coalesced batches matching isolated execution
  * across worker counts, registry counters and queue-depth gauges,
@@ -32,8 +33,12 @@ uint64_t
 registryValue(const std::string &name)
 {
     const auto snap = obs::MetricsRegistry::global().snapshot();
-    auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
+    for (const auto *scalars : {&snap.counters, &snap.gauges}) {
+        auto it = scalars->find(name);
+        if (it != scalars->end())
+            return it->second;
+    }
+    return 0;
 }
 
 //
@@ -853,11 +858,75 @@ TEST(OpGraphExecutorTest, ExecuteBatchSharesCkksEncodingCache)
                                batch[i]);
 }
 
-TEST(OpGraphExecutorTest, CkksEncodingCacheKeysOnModulusChain)
+TEST(OpGraphExecutorTest, ExecuteBatchSharesBgvEncodingCache)
 {
-    // Two contexts that differ only in their primes share one cache.
-    // An encoding holds residues mod those primes, so the second
-    // scheme must miss, not reuse the first scheme's residues.
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    const uint64_t t = bgv.plainModulus();
+    Program p(256, 8, "bgv-weights");
+    int x = p.input();
+    int w = p.inputPlain();
+    int v = p.inputPlain();
+    int a = p.mulPlain(x, w); // encodes w at level L
+    int r = p.modSwitch(a);   // plaintext correction != 1 from here
+    p.output(p.addPlain(r, v)); // encodes v at L-1, scaled by corr^-1
+    OpGraphExecutor exec(p, &bgv);
+
+    // All members bind the SAME weights and bias but encrypt
+    // different inputs.
+    std::vector<uint64_t> weights(256), bias(256);
+    for (size_t i = 0; i < 256; ++i) {
+        weights[i] = (17 * i + 3) % t;
+        bias[i] = (t - 1 - 29 * i) % t;
+    }
+    constexpr size_t kBatch = 4;
+    std::vector<RuntimeInputs> ins(kBatch);
+    std::vector<std::vector<uint64_t>> xs(kBatch,
+                                          std::vector<uint64_t>(256));
+    for (size_t i = 0; i < kBatch; ++i) {
+        for (size_t j = 0; j < 256; ++j)
+            xs[i][j] = (31 * i + 7 * j + 1) % t;
+        ins[i].seed = 1100 + i;
+        ins[i].bind(x, xs[i]);
+        ins[i].bind(w, weights);
+        ins[i].bind(v, bias);
+    }
+
+    EncodingCache cache(64, "");
+    ExecutionPolicy pol = serialPolicy(); // deterministic hit order
+    pol.encodingCache = &cache;
+    auto batch = exec.executeBatch(ins, pol);
+
+    // Two distinct (data, level) keys; member 0 misses both, every
+    // later member hits both.
+    EXPECT_EQ(batch[0].encodingCacheMisses, 2u);
+    EXPECT_EQ(batch[0].encodingCacheHits, 0u);
+    for (size_t i = 1; i < kBatch; ++i) {
+        EXPECT_EQ(batch[i].encodingCacheMisses, 0u);
+        EXPECT_EQ(batch[i].encodingCacheHits, 2u);
+    }
+
+    // The added bias met a corrected ciphertext, and the correction
+    // scaled a copy: a cached entry scaled in place would corrupt
+    // every later member's sum.
+    for (size_t i = 0; i < kBatch; ++i) {
+        const Ciphertext &out = batch[i].outputs.begin()->second;
+        EXPECT_NE(out.ptCorrection, 1u);
+        const auto got = bgv.decryptSlots(out);
+        for (size_t j = 0; j < 256; ++j)
+            ASSERT_EQ(got[j], (xs[i][j] * weights[j] + bias[j]) % t)
+                << "member " << i << " slot " << j;
+        expectIdenticalOutputs(exec.execute(ins[i], serialPolicy()),
+                               batch[i]);
+    }
+}
+
+TEST(OpGraphExecutorTest, EncodingCacheKeysOnModulusChain)
+{
+    // Two contexts that differ only in their primes share one cache,
+    // for each scheme. An encoding holds residues mod those primes, so
+    // the second scheme must miss, not reuse the first scheme's
+    // residues.
     FheParams params;
     params.n = 4096;
     params.maxLevel = 2;
@@ -866,13 +935,18 @@ TEST(OpGraphExecutorTest, CkksEncodingCacheKeysOnModulusChain)
     FheContext ctx28(params);
     params.primeBits = 30;
     FheContext ctx30(params);
-    CkksScheme ckks28(&ctx28);
-    CkksScheme ckks30(&ctx30);
 
-    Program p(4096, 2, "ckks-chain-key");
+    Program p(4096, 2, "chain-key");
     int x = p.input();
     int w = p.inputPlain();
     p.output(p.mulPlain(x, w));
+
+    EncodingCache cache(64, "");
+    ExecutionPolicy pol = serialPolicy();
+    pol.encodingCache = &cache;
+
+    CkksScheme ckks28(&ctx28);
+    CkksScheme ckks30(&ctx30);
     std::vector<std::complex<double>> xs(2048), ws(2048);
     for (size_t i = 0; i < xs.size(); ++i) {
         xs[i] = {0.5 - 0.0004 * double(i), 0.0};
@@ -881,10 +955,6 @@ TEST(OpGraphExecutorTest, CkksEncodingCacheKeysOnModulusChain)
     RuntimeInputs in;
     in.bind(x, xs);
     in.bind(w, ws);
-
-    EncodingCache cache(64, "");
-    ExecutionPolicy pol = serialPolicy();
-    pol.encodingCache = &cache;
     for (CkksScheme *ckks : {&ckks28, &ckks30}) {
         const ExecutionResult res = OpGraphExecutor(p, ckks).execute(in, pol);
         EXPECT_EQ(res.encodingCacheMisses, 1u);
@@ -894,6 +964,26 @@ TEST(OpGraphExecutorTest, CkksEncodingCacheKeysOnModulusChain)
         for (size_t i = 0; i < xs.size(); ++i)
             maxErr = std::max(maxErr, std::abs(out[i] - xs[i] * ws[i]));
         EXPECT_LT(maxErr, 1e-3);
+    }
+
+    BgvScheme bgv28(&ctx28);
+    BgvScheme bgv30(&ctx30);
+    const uint64_t t = bgv28.plainModulus();
+    std::vector<uint64_t> bx(4096), bw(4096);
+    for (size_t i = 0; i < bx.size(); ++i) {
+        bx[i] = (3 * i + 1) % t;
+        bw[i] = (5 * i + 7) % t;
+    }
+    RuntimeInputs bin;
+    bin.bind(x, bx);
+    bin.bind(w, bw);
+    for (BgvScheme *bgv : {&bgv28, &bgv30}) {
+        const ExecutionResult res = OpGraphExecutor(p, bgv).execute(bin, pol);
+        EXPECT_EQ(res.encodingCacheMisses, 1u);
+        EXPECT_EQ(res.encodingCacheHits, 0u);
+        const auto out = bgv->decryptSlots(res.outputs.begin()->second);
+        for (size_t i = 0; i < bx.size(); ++i)
+            ASSERT_EQ(out[i], bx[i] * bw[i] % t) << i;
     }
 }
 
@@ -912,29 +1002,30 @@ TEST(AdmissionControllerTest, DecidesFromRegistrySnapshot)
 
     // Stage registry state below the cap: admit.
     reg.counter("serving.jobs_submitted").inc(9);
-    EXPECT_TRUE(ctl.decide("t", tp, 0).admit);
+    EXPECT_TRUE(ctl.decide(reg.snapshot(), "t", tp, 0).admit);
 
     // Stage a backlog exactly at the cap: shed, naming the counters.
     reg.counter("serving.jobs_submitted").inc(21); // 30 submitted
     reg.counter("serving.jobs_completed").inc(15);
     reg.counter("serving.jobs_failed").inc(5); // backlog = 10
-    auto d = ctl.decide("t", tp, 0);
+    auto d = ctl.decide(reg.snapshot(), "t", tp, 0);
     EXPECT_FALSE(d.admit);
     EXPECT_NE(d.reason.find("backlog"), std::string::npos);
 
     // Completions observed through the registry re-open admission —
     // the controller tracks the registry, not its own counters.
     reg.counter("serving.jobs_completed").inc(1); // backlog = 9
-    EXPECT_TRUE(ctl.decide("t", tp, 0).admit);
+    EXPECT_TRUE(ctl.decide(reg.snapshot(), "t", tp, 0).admit);
 
     // Latency shedding reads the serving.queue_ms histogram's p95.
     AdmissionLimits lat;
     lat.maxQueueP95Ms = 5;
     AdmissionController latCtl(lat);
-    EXPECT_TRUE(latCtl.decide("t", tp, 0).admit); // no observations yet
+    // No observations yet.
+    EXPECT_TRUE(latCtl.decide(reg.snapshot(), "t", tp, 0).admit);
     for (int i = 0; i < 100; ++i)
         reg.histogram("serving.queue_ms").observe(50.0);
-    auto dl = latCtl.decide("t", tp, 0);
+    auto dl = latCtl.decide(reg.snapshot(), "t", tp, 0);
     EXPECT_FALSE(dl.admit);
     EXPECT_NE(dl.reason.find("p95"), std::string::npos);
 
@@ -1001,9 +1092,9 @@ TEST(ServingEngineTest, QueueDepthGaugesInRegistry)
         engine.drain();
 
         auto snap = obs::MetricsRegistry::global().snapshot();
-        EXPECT_EQ(snap.counters.at("serving.queue_depth"), 0u);
-        EXPECT_GE(snap.counters.at("serving.queue_depth_peak"), 1u);
-        EXPECT_LE(snap.counters.at("serving.queue_depth_peak"), 6u);
+        EXPECT_EQ(snap.gauges.at("serving.queue_depth"), 0u);
+        EXPECT_GE(snap.gauges.at("serving.queue_depth_peak"), 1u);
+        EXPECT_LE(snap.gauges.at("serving.queue_depth_peak"), 6u);
         for (auto &f : futs)
             f.get();
     }
