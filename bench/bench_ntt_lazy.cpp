@@ -14,16 +14,23 @@
  * product, and cross-checks every product. Part 3 runs GHS and digit
  * key-switching in steady state and reports the scratch arena's
  * checkout statistics: heap allocations per apply() must be zero once
- * warm. The top-level "isa" key names the lazy stage kernel the
- * loader picked on this CPU ("avx2" or "baseline").
+ * warm. Part 4 ("hoisted") rotates one level-4 ciphertext's c1 R
+ * times through digit key switching, single-threaded: one apply() of
+ * σ_g(x) per rotation against one decomposition of x plus R inner
+ * products (N = 8192, R = 31 as in LoLa-MNIST's first mat-vec; --smoke:
+ * N = 4096, R = 8), in ms per rotation, and cross-checks every output
+ * word. The top-level "isa" key names the lazy stage kernel the loader
+ * picked on this CPU ("avx2" or "baseline").
  *
  * Usage: bench_ntt_lazy [--smoke]
- *   --smoke  fewer reps and only N = 4096, for the CI canary.
+ *   --smoke  fewer reps and smaller sizes, for the CI canary.
  *
  * Exits nonzero on any correctness failure (lazy/strict or
- * Barrett/mulMod divergence, or a warm apply() that hits the heap);
- * the speedup numbers themselves are data points, not gates.
+ * Barrett/mulMod divergence, a warm apply() that hits the heap, or a
+ * hoisted rotation that differs from its apply()); the speedup numbers
+ * themselves are data points, not gates.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +39,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/scratch.h"
+#include "fhe/encoder.h"
 #include "fhe/fhe_context.h"
 #include "fhe/keyswitch.h"
 #include "modular/modarith.h"
@@ -219,6 +227,76 @@ runKeySwitchArena(KeySwitchVariant variant, const char *name,
             heapAllocs.value() - heapAllocs0, elapsed / applies};
 }
 
+struct HoistRow
+{
+    uint32_t n;
+    size_t level;
+    size_t rotations;
+    double applyMs;     //!< per rotation: apply(σ_g(x))
+    double decomposeMs; //!< once per ciphertext
+    double innerMs;     //!< per rotation
+    bool identical;
+};
+
+/**
+ * R rotations of one ciphertext's c1 (best of `reps` passes per side):
+ * each key-switched by its own apply(), against one decompose() shared
+ * by R innerProduct() calls. The automorphisms of x are taken before
+ * the clock starts, so the apply side times the key switch alone.
+ */
+HoistRow
+runHoisted(uint32_t n, size_t rotations, size_t reps)
+{
+    FheParams p;
+    p.n = n;
+    p.maxLevel = 4;
+    p.primeBits = 28;
+    p.plainModulus = 65537;
+    FheContext ctx(p);
+    const size_t level = p.maxLevel;
+    const uint64_t t = p.plainModulus;
+    KeySwitcher sw(&ctx);
+    Rng rng(13);
+    SecretKey sk = sw.keyGen(rng);
+    const SlotOrder order(n);
+    const auto x = RnsPoly::uniform(ctx.polyContext(), level, rng);
+    std::vector<uint64_t> gs;
+    std::vector<KeySwitchHint> hints;
+    std::vector<RnsPoly> rotated;
+    for (size_t r = 0; r < rotations; ++r) {
+        gs.push_back(order.rotationGalois(int64_t(r) + 1));
+        hints.push_back(sw.makeHint(sk.s.automorphism(gs[r]), sk, level, t,
+                                    KeySwitchVariant::kDigitLxL, rng));
+        rotated.push_back(x.automorphism(gs[r]));
+    }
+    std::vector<uint32_t> digits(digitDecompositionWords(level, n));
+
+    std::vector<std::pair<RnsPoly, RnsPoly>> want, got;
+    double applyMs = 1e300, decomposeMs = 1e300, innerMs = 1e300;
+    for (size_t rep = 0; rep < reps; ++rep) {
+        want.clear();
+        got.clear();
+        const double t0 = nowMs();
+        for (size_t r = 0; r < rotations; ++r)
+            want.push_back(sw.apply(rotated[r], hints[r], t));
+        const double t1 = nowMs();
+        sw.decompose(x, digits);
+        const double t2 = nowMs();
+        for (size_t r = 0; r < rotations; ++r)
+            got.push_back(sw.innerProduct(digits, hints[r], t, gs[r]));
+        const double t3 = nowMs();
+        applyMs = std::min(applyMs, (t1 - t0) / rotations);
+        decomposeMs = std::min(decomposeMs, t2 - t1);
+        innerMs = std::min(innerMs, (t3 - t2) / rotations);
+    }
+    bool identical = true;
+    for (size_t r = 0; r < rotations; ++r)
+        identical = identical &&
+                    got[r].first.raw() == want[r].first.raw() &&
+                    got[r].second.raw() == want[r].second.raw();
+    return {n, level, rotations, applyMs, decomposeMs, innerMs, identical};
+}
+
 int
 run(bool smoke)
 {
@@ -247,6 +325,8 @@ run(bool smoke)
         runKeySwitchArena(KeySwitchVariant::kDigitLxL,
                           "keyswitch_digit", applies),
     };
+    const HoistRow hoisted = smoke ? runHoisted(4096, 8, 1)
+                                   : runHoisted(8192, 31, 3);
     setGlobalThreadCount(0);
 
     printf("{\n  \"bench\": \"ntt_lazy\",\n");
@@ -294,7 +374,20 @@ run(bool smoke)
                static_cast<unsigned long long>(r.warmHeapAllocs),
                r.msPerApply, i + 1 < 2 ? "," : "");
     }
-    printf("  ]\n}\n");
+    printf("  ],\n");
+    ok = ok && hoisted.identical;
+    const double hoistedMs =
+        hoisted.decomposeMs / hoisted.rotations + hoisted.innerMs;
+    printf("  \"hoisted\": {\"n\": %u, \"level\": %zu, "
+           "\"rotations\": %zu, \"apply_ms_per_rotation\": %.4f, "
+           "\"decompose_ms\": %.4f, \"inner_product_ms\": %.4f, "
+           "\"hoisted_ms_per_rotation\": %.4f, "
+           "\"speedup_hoisted_vs_apply\": %.3f, "
+           "\"bit_identical\": %s}\n}\n",
+           hoisted.n, hoisted.level, hoisted.rotations, hoisted.applyMs,
+           hoisted.decomposeMs, hoisted.innerMs, hoistedMs,
+           hoisted.applyMs / hoistedMs,
+           hoisted.identical ? "true" : "false");
     return ok ? 0 : 1;
 }
 

@@ -200,9 +200,10 @@ BgvScheme::mul(const Ciphertext &a, const Ciphertext &b)
 }
 
 Ciphertext
-BgvScheme::applyGalois(const Ciphertext &a, uint64_t g)
+BgvScheme::applyGalois(const Ciphertext &a, uint64_t g,
+                        std::span<const uint32_t> digits)
 {
-    Ciphertext out = galoisSwitch(a, g);
+    Ciphertext out = galoisSwitch(a, g, digits);
     out.noiseBits = std::max(a.noiseBits,
                              keySwitchNoiseBits(context(), plainModulus(),
                                                 a.level())) +
@@ -212,15 +213,19 @@ BgvScheme::applyGalois(const Ciphertext &a, uint64_t g)
 }
 
 Ciphertext
-BgvScheme::rotate(const Ciphertext &a, int64_t r)
+BgvScheme::rotate(const Ciphertext &a, int64_t r,
+                   std::span<const uint32_t> digits)
 {
-    return applyGalois(a, encoder_.slotOrder().rotationGalois(r));
+    return applyGalois(a, encoder_.slotOrder().rotationGalois(r),
+                       digits);
 }
 
 Ciphertext
-BgvScheme::conjugate(const Ciphertext &a)
+BgvScheme::conjugate(const Ciphertext &a,
+                      std::span<const uint32_t> digits)
 {
-    return applyGalois(a, encoder_.slotOrder().conjugationGalois());
+    return applyGalois(a, encoder_.slotOrder().conjugationGalois(),
+                       digits);
 }
 
 Ciphertext

@@ -95,14 +95,23 @@ class BgvScheme : public RlweScheme
     /** Full homomorphic multiply: tensor + relinearization. */
     Ciphertext mul(const Ciphertext &a, const Ciphertext &b);
 
+    //
+    // Galois ops. `digits`, if not empty, is hoistDecomposition(a):
+    // the rotations of one ciphertext then share its decomposition
+    // and return the same words as without it.
+    //
+
     /** Homomorphic slot rotation by r (σ_(5^r) + key switch). */
-    Ciphertext rotate(const Ciphertext &a, int64_t r);
+    Ciphertext rotate(const Ciphertext &a, int64_t r,
+                      std::span<const uint32_t> digits = {});
 
     /** Row swap (σ_(2N-1) + key switch). */
-    Ciphertext conjugate(const Ciphertext &a);
+    Ciphertext conjugate(const Ciphertext &a,
+                         std::span<const uint32_t> digits = {});
 
     /** Applies σ_g for a raw Galois element (advanced callers). */
-    Ciphertext applyGalois(const Ciphertext &a, uint64_t g);
+    Ciphertext applyGalois(const Ciphertext &a, uint64_t g,
+                           std::span<const uint32_t> digits = {});
 
     /** Modulus switch: drop one prime, reducing noise (paper §2.2.2). */
     Ciphertext modSwitch(const Ciphertext &a) const;

@@ -172,24 +172,29 @@ CkksScheme::modDownTo(const Ciphertext &a, size_t level) const
 }
 
 Ciphertext
-CkksScheme::applyGalois(const Ciphertext &a, uint64_t g)
+CkksScheme::applyGalois(const Ciphertext &a, uint64_t g,
+                         std::span<const uint32_t> digits)
 {
-    Ciphertext out = galoisSwitch(a, g);
+    Ciphertext out = galoisSwitch(a, g, digits);
     out.scale = a.scale;
     out.noiseBits = a.noiseBits + 1.0;
     return out;
 }
 
 Ciphertext
-CkksScheme::rotate(const Ciphertext &a, int64_t r)
+CkksScheme::rotate(const Ciphertext &a, int64_t r,
+                    std::span<const uint32_t> digits)
 {
-    return applyGalois(a, encoder_.slotOrder().rotationGalois(r));
+    return applyGalois(a, encoder_.slotOrder().rotationGalois(r),
+                       digits);
 }
 
 Ciphertext
-CkksScheme::conjugate(const Ciphertext &a)
+CkksScheme::conjugate(const Ciphertext &a,
+                       std::span<const uint32_t> digits)
 {
-    return applyGalois(a, encoder_.slotOrder().conjugationGalois());
+    return applyGalois(a, encoder_.slotOrder().conjugationGalois(),
+                       digits);
 }
 
 } // namespace f1

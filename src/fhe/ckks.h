@@ -106,14 +106,23 @@ class CkksScheme : public RlweScheme
      */
     Ciphertext modDownTo(const Ciphertext &a, size_t level) const;
 
+    //
+    // Galois ops. `digits`, if not empty, is hoistDecomposition(a):
+    // the rotations of one ciphertext then share its decomposition
+    // and return the same words as without it.
+    //
+
     /** Slot rotation by r. */
-    Ciphertext rotate(const Ciphertext &a, int64_t r);
+    Ciphertext rotate(const Ciphertext &a, int64_t r,
+                      std::span<const uint32_t> digits = {});
 
     /** Complex conjugation of every slot. */
-    Ciphertext conjugate(const Ciphertext &a);
+    Ciphertext conjugate(const Ciphertext &a,
+                         std::span<const uint32_t> digits = {});
 
     /** Applies σ_g for a raw Galois element (trace computations). */
-    Ciphertext applyGalois(const Ciphertext &a, uint64_t g);
+    Ciphertext applyGalois(const Ciphertext &a, uint64_t g,
+                           std::span<const uint32_t> digits = {});
 
   private:
     Ciphertext freshCiphertext(const RnsPoly &m, double scale,

@@ -139,6 +139,21 @@ CkksEncoder::CkksEncoder(const FheContext *ctx)
         psi_[i] = {std::cos(ang), std::sin(ang)};
         bitRev_[i] = bitReverse(i, bits);
     }
+    // Stage twiddles w_j = wlen^j, by the recurrence w *= wlen that
+    // every block of the stage would otherwise repeat.
+    for (bool inverse : {false, true}) {
+        auto &tw = twiddles_[inverse];
+        tw.resize(n);
+        for (uint32_t half = 1; half < n; half <<= 1) {
+            double ang = std::numbers::pi / half * (inverse ? -1.0 : 1.0);
+            std::complex<double> wlen{std::cos(ang), std::sin(ang)};
+            std::complex<double> w{1.0, 0.0};
+            for (uint32_t j = 0; j < half; ++j) {
+                tw[half + j] = w;
+                w *= wlen;
+            }
+        }
+    }
 }
 
 void
@@ -151,17 +166,28 @@ CkksEncoder::fft(std::vector<std::complex<double>> &a, bool inverse) const
         if (i < j)
             std::swap(a[i], a[j]);
     }
+    // std::complex<double> is laid out as double[2] (the standard
+    // allows this access), so the butterflies run on restrict-qualified
+    // doubles: v = hi * w in real arithmetic, the products and sums
+    // std::complex's operator* forms, without its NaN fallback call.
+    double *__restrict d = reinterpret_cast<double *>(a.data());
+    const double *__restrict tw =
+        reinterpret_cast<const double *>(twiddles_[inverse].data());
     for (uint32_t half = 1; half < n; half <<= 1) {
-        double ang = std::numbers::pi / half * (inverse ? -1.0 : 1.0);
-        std::complex<double> wlen{std::cos(ang), std::sin(ang)};
+        const double *w = tw + 2 * size_t(half);
         for (uint32_t base = 0; base < n; base += 2 * half) {
-            std::complex<double> w{1.0, 0.0};
+            double *__restrict lo = d + 2 * size_t(base);
+            double *__restrict hi = lo + 2 * size_t(half);
             for (uint32_t j = 0; j < half; ++j) {
-                auto u = a[base + j];
-                auto v = a[base + half + j] * w;
-                a[base + j] = u + v;
-                a[base + half + j] = u - v;
-                w *= wlen;
+                const double wr = w[2 * j], wi = w[2 * j + 1];
+                const double xr = hi[2 * j], xi = hi[2 * j + 1];
+                const double vr = xr * wr - xi * wi;
+                const double vi = xr * wi + xi * wr;
+                const double ur = lo[2 * j], ui = lo[2 * j + 1];
+                lo[2 * j] = ur + vr;
+                lo[2 * j + 1] = ui + vi;
+                hi[2 * j] = ur - vr;
+                hi[2 * j + 1] = ui - vi;
             }
         }
     }

@@ -124,6 +124,9 @@ class CkksEncoder
     SlotOrder order_;
     std::vector<std::complex<double>> psi_; //!< ζ^i, ζ = e^(iπ/N)
     std::vector<uint32_t> bitRev_; //!< fft's bit-reversal permutation
+    /** fft's stage twiddles, [0] forward and [1] inverse: the stage
+     *  with half-width h reads w_j at index h + j (j < h). */
+    std::vector<std::complex<double>> twiddles_[2];
 };
 
 } // namespace f1

@@ -9,7 +9,10 @@
 
 namespace f1 {
 
-GswScheme::GswScheme(BgvScheme *bgv) : bgv_(bgv), ctx_(bgv->context()) {}
+GswScheme::GswScheme(BgvScheme *bgv)
+    : bgv_(bgv), ctx_(bgv->context()), switcher_(ctx_), rng_(0x65370000)
+{
+}
 
 RlwePrime
 GswScheme::encryptRlwePrime(const RnsPoly &w, size_t level)
@@ -17,12 +20,11 @@ GswScheme::encryptRlwePrime(const RnsPoly &w, size_t level)
     // Identical structure to the digit key-switch hint: digit i's phase
     // carries P_i * w, with P_i ≡ δ_ij (mod q_j).
     const uint64_t t = bgv_->plainModulus();
-    Rng rng(0x65370000 ^ level); // deterministic per level
     const RnsPoly s = bgv_->secretKey().s.restricted(level);
 
     RlwePrime out;
     for (size_t i = 0; i < level; ++i) {
-        auto [ai, bi] = rlweSample(ctx_, s, t, rng);
+        auto [ai, bi] = rlweSample(ctx_, s, t, rng_);
         auto bres = bi.residue(i);
         auto wres = w.residue(i);
         const uint32_t qi = ctx_->polyContext()->modulus(i);
@@ -61,9 +63,14 @@ GswScheme::externalProduct(const Ciphertext &rlwe,
     const size_t level = rlwe.level();
 
     // Decompose both RLWE components; accumulate
-    //   out = Σ_i d_i(c0) * RLWE'(m)[i] + Σ_i d_i(c1) * RLWE'(sm)[i].
-    auto d0 = digitDecomposeLift(rlwe.polys[0]);
-    auto d1 = digitDecomposeLift(rlwe.polys[1]);
+    //   out = Σ_i d_i(c0) * RLWE'(m)[i] + Σ_i d_i(c1) * RLWE'(sm)[i]
+    // over the level's primes (the special-prime track goes unused).
+    const size_t tracks = level + 1;
+    const uint32_t n = ctx_->n();
+    auto d0 = ScratchArena::u32(digitDecompositionWords(level, n));
+    auto d1 = ScratchArena::u32(digitDecompositionWords(level, n));
+    switcher_.decompose(rlwe.polys[0], d0.span());
+    switcher_.decompose(rlwe.polys[1], d1.span());
 
     RnsPoly r0(pc, level, Domain::kNtt);
     RnsPoly r1(pc, level, Domain::kNtt);
@@ -76,8 +83,8 @@ GswScheme::externalProduct(const Ciphertext &rlwe,
         auto o0 = r0.residue(r);
         auto o1 = r1.residue(r);
         for (size_t i = 0; i < level; ++i) {
-            auto x0 = d0[i].residue(r);
-            auto x1 = d1[i].residue(r);
+            const uint32_t *x0 = d0.data() + (i * tracks + r) * n;
+            const uint32_t *x1 = d1.data() + (i * tracks + r) * n;
             auto cmb = rgsw.cm.b[i].residue(r);
             auto cma = rgsw.cm.a[i].residue(r);
             auto csb = rgsw.csm.b[i].residue(r);

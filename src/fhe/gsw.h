@@ -56,7 +56,9 @@ class GswScheme
      */
     explicit GswScheme(BgvScheme *bgv);
 
-    /** Encrypts a small scalar m (typically a bit). */
+    /** Encrypts a small scalar m (typically a bit). Every encryption
+     *  draws fresh masks and errors from the scheme's stream (not
+     *  thread-safe). */
     RgswCiphertext encryptScalar(uint64_t m, size_t level);
 
     /**
@@ -78,6 +80,8 @@ class GswScheme
 
     BgvScheme *bgv_;
     const FheContext *ctx_;
+    KeySwitcher switcher_; //!< the digit decomposition
+    Rng rng_;              //!< encryption randomness
 };
 
 } // namespace f1

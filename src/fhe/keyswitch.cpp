@@ -6,6 +6,7 @@
 #include "fhe/basis_extend.h"
 #include "modular/modarith.h"
 #include "obs/profile.h"
+#include "poly/automorphism.h"
 
 namespace f1 {
 
@@ -29,42 +30,6 @@ rlweSample(const FheContext *ctx, const RnsPoly &s, uint64_t errorScale,
     b += e;
     return {std::move(a), std::move(b)};
 }
-
-namespace {
-
-/**
- * Centered lift of a single coefficient-domain residue (values mod
- * from_q) into signed integers, written into caller-provided scratch.
- */
-void
-centeredLiftInto(std::span<const uint32_t> res, uint32_t from_q,
-                 std::span<int64_t> out)
-{
-    const uint32_t half = from_q / 2;
-    for (size_t j = 0; j < res.size(); ++j) {
-        out[j] = res[j] > half ? (int64_t)res[j] - from_q
-                               : (int64_t)res[j];
-    }
-}
-
-/**
- * Digit i of x in coefficient form, center-lifted: the shared scratch
- * pattern of both key-switch variants and the digit decomposition.
- */
-ScratchArena::Handle<int64_t>
-liftedDigit(const RnsPoly &x, size_t i)
-{
-    const PolyContext *pc = x.context();
-    const uint32_t n = pc->n();
-    auto yi = ScratchArena::u32(n);
-    std::copy(x.residue(i).begin(), x.residue(i).end(), yi.data());
-    pc->tables(i).inverse(yi.span());
-    auto lifted = ScratchArena::i64(n);
-    centeredLiftInto(yi.span(), pc->modulus(i), lifted.span());
-    return lifted;
-}
-
-} // namespace
 
 KeySwitchHint
 KeySwitcher::makeHint(const RnsPoly &w, const SecretKey &sk, size_t level,
@@ -161,102 +126,124 @@ KeySwitcher::apply(const RnsPoly &x, const KeySwitchHint &hint,
     F1_CHECK(x.domain() == Domain::kNtt, "key-switch input must be NTT");
     F1_CHECK(x.levels() == hint.level, "hint level mismatch: x has "
              << x.levels() << ", hint serves " << hint.level);
-    obs::profileAdd(obs::ProfileCounter::kKeySwitchApply);
-    if (hint.variant == KeySwitchVariant::kDigitLxL)
-        return applyDigitScaled(x, hint, errorScale);
-    return applyGhs(x, hint, errorScale);
+    if (hint.variant == KeySwitchVariant::kGhsExtension) {
+        obs::profileAdd(obs::ProfileCounter::kKeySwitchApply);
+        return applyGhs(x, hint, errorScale);
+    }
+    auto digits =
+        ScratchArena::u32(digitDecompositionWords(hint.level, x.n()));
+    decompose(x, digits.span());
+    return innerProduct(digits.span(), hint, errorScale);
 }
 
-std::vector<RnsPoly>
-digitDecomposeLift(const RnsPoly &x)
+void
+KeySwitcher::decompose(const RnsPoly &x, std::span<uint32_t> out) const
 {
     F1_CHECK(x.domain() == Domain::kNtt, "decomposition expects NTT");
-    const PolyContext *pc = x.context();
+    const PolyContext *pc = ctx_->polyContext();
     const size_t level = x.levels();
+    const size_t tracks = level + 1;
+    const size_t sp = ctx_->specialIndex();
     const uint32_t n = pc->n();
+    F1_CHECK(out.size() == digitDecompositionWords(level, n),
+             "decomposition buffer holds " << out.size()
+             << " words, level " << level << " needs "
+             << digitDecompositionWords(level, n));
 
-    std::vector<RnsPoly> out;
-    out.reserve(level);
+    auto coeff = ScratchArena::u32(n);
+    auto lifted = ScratchArena::i64(n);
+    const std::span<const int64_t> lift = lifted.span();
     for (size_t i = 0; i < level; ++i) {
         // Digit i: residue i of x, taken to coefficient form and
-        // center-lifted into every modulus (Listing 1 lines 3 and 8).
-        auto lifted = liftedDigit(x, i);
+        // center-lifted (Listing 1 lines 3 and 8).
+        std::copy(x.residue(i).begin(), x.residue(i).end(), coeff.data());
+        pc->tables(i).inverse(coeff.span());
+        const uint32_t qi = pc->modulus(i);
+        for (size_t idx = 0; idx < n; ++idx)
+            lifted[idx] = coeff[idx] > qi / 2
+                              ? (int64_t)coeff[idx] - qi
+                              : (int64_t)coeff[idx];
 
-        // One limb per work unit: each target residue reduces the
-        // shared lift and transforms into its own NTT domain.
-        RnsPoly xt(pc, level, Domain::kNtt);
-        std::span<const int64_t> lift = lifted.span();
-        parallelForLimbs(level, [&](size_t j) {
-            auto dst = xt.residue(j);
-            if (j == i) {
+        // One track per work unit: each reduces the shared lift into
+        // its own modulus and transforms it into its NTT domain.
+        parallelFor(0, tracks, [&](size_t track) {
+            std::span<uint32_t> dst =
+                out.subspan((i * tracks + track) * n, n);
+            if (track == i) {
                 // Already have this residue in NTT form.
                 std::copy(x.residue(i).begin(), x.residue(i).end(),
                           dst.begin());
                 return;
             }
-            const uint32_t qj = pc->modulus(j);
-            const uint64_t mu = barrettPrecompute(qj);
-            for (size_t idx = 0; idx < n; ++idx)
-                dst[idx] = reduceSignedBarrett(lift[idx], qj, mu);
-            pc->tables(j).forward(dst);
-        });
-        out.push_back(std::move(xt));
-    }
-    return out;
-}
-
-std::pair<RnsPoly, RnsPoly>
-KeySwitcher::applyDigitScaled(const RnsPoly &x, const KeySwitchHint &hint,
-                              uint64_t errorScale) const
-{
-    const PolyContext *pc = ctx_->polyContext();
-    const size_t level = hint.level;
-    const size_t sp = ctx_->specialIndex();
-    const uint32_t p_sp = ctx_->specialPrime();
-    const uint32_t n = pc->n();
-
-    // Accumulators over level cipher residues + the special residue.
-    auto acc0 = ScratchArena::u32((level + 1) * n, /*zeroed=*/true);
-    auto acc1 = ScratchArena::u32((level + 1) * n, /*zeroed=*/true);
-
-    for (size_t i = 0; i < level; ++i) {
-        // Digit i in coefficient form, center-lifted.
-        auto lifted = liftedDigit(x, i);
-        std::span<const int64_t> lift = lifted.span();
-
-        // Multiply-accumulate against hint digit i over each track.
-        // Tracks write disjoint accumulator slices and read the shared
-        // lift, so they map one-per-limb onto the pool. The per-track
-        // NTT input comes from the worker's own scratch cache.
-        parallelFor(0, level + 1, [&](size_t track) {
             const size_t ridx = track < level ? track : sp;
             const uint32_t m = pc->modulus(ridx);
             const uint64_t mu = barrettPrecompute(m);
-            const uint32_t *xt;
-            ScratchArena::Handle<uint32_t> tmp;
-            if (track == i) {
-                xt = x.residue(i).data();
-            } else {
-                tmp = ScratchArena::u32(n);
-                for (size_t idx = 0; idx < n; ++idx)
-                    tmp[idx] = reduceSignedBarrett(lift[idx], m, mu);
-                pc->tables(ridx).forward(tmp.span());
-                xt = tmp.data();
-            }
-            auto ha = hint.a[i].residue(ridx);
-            auto hb = hint.b[i].residue(ridx);
-            uint32_t *o0 = acc0.data() + track * n;
-            uint32_t *o1 = acc1.data() + track * n;
-            for (size_t idx = 0; idx < n; ++idx) {
-                o1[idx] = addMod(o1[idx],
-                                 mulModBarrett(xt[idx], ha[idx], m, mu),
-                                 m);
-                o0[idx] = addMod(o0[idx],
-                                 mulModBarrett(xt[idx], hb[idx], m, mu),
-                                 m);
-            }
+            for (size_t idx = 0; idx < n; ++idx)
+                dst[idx] = reduceSignedBarrett(lift[idx], m, mu);
+            pc->tables(ridx).forward(dst);
         });
     }
+}
+
+std::pair<RnsPoly, RnsPoly>
+KeySwitcher::innerProduct(std::span<const uint32_t> digits,
+                          const KeySwitchHint &hint, uint64_t errorScale,
+                          uint64_t g) const
+{
+    const PolyContext *pc = ctx_->polyContext();
+    const size_t level = hint.level;
+    const size_t tracks = level + 1;
+    const size_t sp = ctx_->specialIndex();
+    const uint32_t p_sp = ctx_->specialPrime();
+    const uint32_t n = pc->n();
+    F1_CHECK(hint.variant == KeySwitchVariant::kDigitLxL,
+             "the key-switch inner product takes a digit hint");
+    F1_CHECK(digits.size() == digitDecompositionWords(level, n),
+             "decomposition of " << digits.size()
+             << " words does not match the hint's level " << level);
+    obs::profileAdd(obs::ProfileCounter::kKeySwitchApply);
+
+    // σ_g's NTT-domain permutation; g = 1 reads the tracks in place.
+    ScratchArena::Handle<uint32_t> perm;
+    if (g != 1) {
+        perm = ScratchArena::u32(n);
+        for (uint32_t k = 0; k < n; ++k)
+            perm[k] = static_cast<uint32_t>(automorphismNttSource(g, k, n));
+    }
+    const uint32_t *const permp = g != 1 ? perm.data() : nullptr;
+
+    // Accumulators over level cipher residues + the special residue.
+    auto acc0 = ScratchArena::u32(tracks * n, /*zeroed=*/true);
+    auto acc1 = ScratchArena::u32(tracks * n, /*zeroed=*/true);
+
+    // Multiply-accumulate every digit against its hint digit, one
+    // track per work unit: tracks write disjoint accumulator slices
+    // and only read the digits.
+    parallelFor(0, tracks, [&](size_t track) {
+        const size_t ridx = track < level ? track : sp;
+        const uint32_t m = pc->modulus(ridx);
+        const uint64_t mu = barrettPrecompute(m);
+        uint32_t *o0 = acc0.data() + track * n;
+        uint32_t *o1 = acc1.data() + track * n;
+        for (size_t i = 0; i < level; ++i) {
+            const uint32_t *xt = digits.data() + (i * tracks + track) * n;
+            const uint32_t *ha = hint.a[i].residue(ridx).data();
+            const uint32_t *hb = hint.b[i].residue(ridx).data();
+            const auto mac = [&](auto load) {
+                for (size_t idx = 0; idx < n; ++idx) {
+                    const uint32_t v = load(idx);
+                    o1[idx] = addMod(
+                        o1[idx], mulModBarrett(v, ha[idx], m, mu), m);
+                    o0[idx] = addMod(
+                        o0[idx], mulModBarrett(v, hb[idx], m, mu), m);
+                }
+            };
+            if (permp != nullptr)
+                mac([&](size_t idx) { return xt[permp[idx]]; });
+            else
+                mac([&](size_t idx) { return xt[idx]; });
+        }
+    });
 
     // Divide both accumulators by p_sp with errorScale-adjusted
     // rounding (δ ≡ acc mod p_sp, δ ≡ 0 mod errorScale), the hybrid

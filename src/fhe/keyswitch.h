@@ -7,7 +7,12 @@
  *
  *  - kDigitLxL ("Listing 1"): RNS-digit decomposition. The hint is an
  *    L×L matrix pair (2*L*L residue vectors, ~32 MB at L=16, N=16K);
- *    applying it takes L INTTs and L*(L-1) NTTs plus 2L^2 multiply-adds.
+ *    applying it is a decomposition of x (L inverse and L^2 forward
+ *    NTTs, over the L primes and the special prime) plus an inner
+ *    product with the hint (2L(L+1) multiply-adds per coefficient, then
+ *    the special-prime scale-down: 2 inverse and 2L forward NTTs).
+ *    The decomposition depends only on x, so the rotations of one
+ *    ciphertext can share it (hoisting: decompose, then innerProduct).
  *
  *  - kGhsExtension: GHS-style with an auxiliary prime basis P. The hint
  *    is a single pair over the extended basis (2*(L+K) residue vectors,
@@ -22,6 +27,7 @@
 #define F1_FHE_KEYSWITCH_H
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -113,6 +119,16 @@ std::pair<RnsPoly, RnsPoly> rlweSample(const FheContext *ctx,
                                        const RnsPoly &s,
                                        uint64_t errorScale, Rng &rng);
 
+/**
+ * Words of one digit decomposition of a level-L polynomial over N
+ * coefficients (KeySwitcher::decompose): L digits × (L + 1) tracks.
+ */
+constexpr size_t
+digitDecompositionWords(size_t level, uint32_t n)
+{
+    return level * (level + 1) * size_t(n);
+}
+
 class KeySwitcher
 {
   public:
@@ -137,16 +153,38 @@ class KeySwitcher
     /**
      * Applies the hint to x (NTT domain, hint->level residues).
      * Returns (u0, u1), both NTT domain at the same level.
-     * For variant B, errorScale must match the hint's generation.
+     * errorScale must match the hint's generation. The digit variant
+     * is decompose() into scratch, then innerProduct() with g = 1.
      */
     std::pair<RnsPoly, RnsPoly> apply(const RnsPoly &x,
                                       const KeySwitchHint &hint,
                                       uint64_t errorScale) const;
 
+    /**
+     * RNS digit decomposition with centered lift (Listing 1 lines 3
+     * and 8) of x (NTT domain, L = x.levels() residues): digit i is
+     * the centered lift of [x]_{q_i}, reduced into L + 1 tracks (the
+     * primes q_0..q_{L-1}, then the special prime), each in NTT form.
+     * Digit i's track j fills out[(i*(L+1) + j)*N, +N); out.size()
+     * must be digitDecompositionWords(L, N). Track i of digit i is x's
+     * own residue i, so this costs L inverse and L^2 forward NTTs.
+     */
+    void decompose(const RnsPoly &x, std::span<uint32_t> out) const;
+
+    /**
+     * The digit key switch over a decomposition of x: returns
+     * apply(σ_g(x), hint, errorScale) word for word, where `digits`
+     * is decompose(x) and `hint` serves σ_g at x's level (g = 1:
+     * apply(x, hint, errorScale)). Each track is read through σ_g's
+     * NTT-domain permutation: a digit is a centered lift and q is odd,
+     * so decompose(σ_g(x)) = σ_g(decompose(x)), and the rotations of
+     * one ciphertext share one decomposition. Digit hints only.
+     */
+    std::pair<RnsPoly, RnsPoly> innerProduct(
+        std::span<const uint32_t> digits, const KeySwitchHint &hint,
+        uint64_t errorScale, uint64_t g = 1) const;
+
   private:
-    std::pair<RnsPoly, RnsPoly> applyDigitScaled(
-        const RnsPoly &x, const KeySwitchHint &hint,
-        uint64_t errorScale) const;
     std::pair<RnsPoly, RnsPoly> applyGhs(
         const RnsPoly &x, const KeySwitchHint &hint,
         uint64_t errorScale) const;
@@ -161,15 +199,6 @@ class KeySwitcher
  * Use tAdjust = t for BGV, 1 for CKKS. Input and output in NTT domain.
  */
 void dropLastModulusRounded(RnsPoly &p, uint64_t tAdjust);
-
-/**
- * RNS digit decomposition with centered lift (Listing 1 lines 3+8):
- * returns, for each residue i of x, the polynomial x̃_i that is
- * congruent to the centered lift of [x]_{q_i} modulo every prime of
- * x's level, in the NTT domain. Shared by the digit key-switch variant
- * and the GSW external product.
- */
-std::vector<RnsPoly> digitDecomposeLift(const RnsPoly &x);
 
 } // namespace f1
 

@@ -136,18 +136,32 @@ RlweScheme::relinTensor(const Ciphertext &a, const Ciphertext &b)
     return out;
 }
 
+std::vector<uint32_t>
+RlweScheme::hoistDecomposition(const Ciphertext &a) const
+{
+    F1_REQUIRE(variant_ == KeySwitchVariant::kDigitLxL,
+               "only digit key switching hoists its decomposition");
+    F1_CHECK(a.polys.size() == 2, "hoisting expects a relinearized input");
+    std::vector<uint32_t> digits(
+        digitDecompositionWords(a.level(), ctx_->n()));
+    switcher_.decompose(a.polys[1], digits);
+    return digits;
+}
+
 Ciphertext
-RlweScheme::galoisSwitch(const Ciphertext &a, uint64_t g)
+RlweScheme::galoisSwitch(const Ciphertext &a, uint64_t g,
+                         std::span<const uint32_t> digits)
 {
     F1_CHECK(a.polys.size() == 2, "galois expects relinearized input");
-    RnsPoly c0 = a.polys[0].automorphism(g);
-    RnsPoly c1 = a.polys[1].automorphism(g);
-
     auto hint = galoisHintShared(g, a.level());
-    auto [u0, u1] = switcher_.apply(c1, *hint, errorScale_);
+    auto [u0, u1] =
+        digits.empty()
+            ? switcher_.apply(a.polys[1].automorphism(g), *hint,
+                              errorScale_)
+            : switcher_.innerProduct(digits, *hint, errorScale_, g);
 
     Ciphertext out;
-    out.polys.push_back(c0 + u0);
+    out.polys.push_back(a.polys[0].automorphism(g) + u0);
     out.polys.push_back(std::move(u1));
     return out;
 }

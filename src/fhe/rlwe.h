@@ -24,6 +24,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "fhe/ciphertext.h"
 #include "fhe/fhe_context.h"
@@ -79,6 +81,16 @@ class RlweScheme
      *  are the registry's cache.<hintCacheName>.* metrics. */
     void setHintCacheCapacity(size_t cap) { hints_.setCapacity(cap); }
 
+    /**
+     * Hoisting: the digit decomposition of a's c1
+     * (KeySwitcher::decompose), for the digit variant only. Passed to
+     * the schemes' rotate, conjugate or applyGalois of `a`, it replaces
+     * the decomposition each of them would otherwise compute, with
+     * the same output words, so the Galois ops of one ciphertext
+     * decompose it once.
+     */
+    std::vector<uint32_t> hoistDecomposition(const Ciphertext &a) const;
+
   protected:
     /**
      * @param errorScale     t for BGV, 1 for CKKS
@@ -103,8 +115,9 @@ class RlweScheme
     Ciphertext relinTensor(const Ciphertext &a, const Ciphertext &b);
 
     /** σ_g applied to a and key-switched back to s; metadata left at
-     *  its defaults. */
-    Ciphertext galoisSwitch(const Ciphertext &a, uint64_t g);
+     *  its defaults. `digits`, if not empty, is hoistDecomposition(a). */
+    Ciphertext galoisSwitch(const Ciphertext &a, uint64_t g,
+                            std::span<const uint32_t> digits);
 
   private:
     const FheContext *ctx_;

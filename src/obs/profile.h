@@ -41,7 +41,7 @@ namespace f1::obs {
 enum class ProfileCounter : uint8_t {
     kNttForward = 0,   //!< production forward NTTs
     kNttInverse,       //!< production inverse NTTs
-    kKeySwitchApply,   //!< KeySwitcher::apply calls
+    kKeySwitchApply,   //!< key switches (apply or a hoisted innerProduct)
     kBasisExtend,      //!< BasisExtender::extend calls
     kCacheHit,         //!< LRU cache hits (hint + encoding caches)
     kCacheMiss,        //!< LRU cache misses

@@ -44,10 +44,8 @@ automorphismNtt(std::span<const uint32_t> in, std::span<uint32_t> out,
     F1_CHECK((g & 1) && g < 2 * n, "automorphism index must be odd < 2N");
     // out[k] = in[k''] with 2k''+1 = g(2k+1) mod 2N; no sign flips
     // because ψ^(2N) = 1.
-    for (uint64_t k = 0; k < n; ++k) {
-        uint64_t src = ((g * (2 * k + 1)) & (2 * n - 1)) >> 1;
-        out[k] = in[src];
-    }
+    for (uint64_t k = 0; k < n; ++k)
+        out[k] = in[automorphismNttSource(g, k, n)];
 }
 
 void

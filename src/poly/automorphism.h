@@ -37,6 +37,16 @@ void automorphismCoeff(std::span<const uint32_t> in,
                        uint64_t g, uint32_t q);
 
 /**
+ * Source slot of NTT-domain output slot k under σ_g over n slots:
+ * automorphismNtt writes out[k] = in[automorphismNttSource(g, k, n)].
+ */
+inline uint64_t
+automorphismNttSource(uint64_t g, uint64_t k, uint64_t n)
+{
+    return ((g * (2 * k + 1)) & (2 * n - 1)) >> 1;
+}
+
+/**
  * Direct NTT-domain automorphism (pure permutation, no signs).
  * out must not alias in.
  */

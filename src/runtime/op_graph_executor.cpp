@@ -206,6 +206,11 @@ struct OpPriority
 struct OpGraphExecutor::Member
 {
     std::vector<std::optional<Ciphertext>> cts;
+    /** Hoisted handles' c1 decompositions, heap-owned: their Galois
+     *  consumers may run on any worker, and a scratch checkout must be
+     *  released on the thread that took it. Released with the
+     *  ciphertext. */
+    std::vector<std::vector<uint32_t>> digits;
     /** Plaintext inputs' slots, encoded at each consuming op. */
     std::vector<InputBinding> plainSlots;
     std::vector<std::optional<Ciphertext>> outs;
@@ -298,6 +303,7 @@ OpGraphExecutor::buildGraph()
     dependents_.assign(n, {});
     indegree_.assign(n, 0);
     consumers_.assign(n, 0);
+    std::vector<int> galoisConsumers(n, 0);
     workOps_ = 0;
     for (size_t i = 0; i < n; ++i) {
         if (!isSource(ops[i]))
@@ -315,7 +321,20 @@ OpGraphExecutor::buildGraph()
             ++indegree_[i];
             ++consumers_[d];
         }
+        if (ops[i].kind == HeOpKind::kRotate ||
+            ops[i].kind == HeOpKind::kConjugate)
+            ++galoisConsumers[ops[i].a];
     }
+
+    // Hoisting: a ciphertext that two or more Galois ops consume is
+    // decomposed once per member, and they share the decomposition.
+    // GHS is excluded: its ModUp rounds per coefficient, and nothing
+    // shows that σ_g commutes with that rounding bit for bit.
+    hoisted_.assign(n, false);
+    if (rlwe_->variant() == KeySwitchVariant::kDigitLxL)
+        for (size_t i = 0; i < n; ++i)
+            hoisted_[i] = galoisConsumers[i] >= 2 &&
+                          producesCiphertext(ops[i]);
 
     // Kahn's algorithm, for cycle rejection only: the scheduler walks
     // dependencies, not program order, so pushRaw programs with
@@ -411,6 +430,9 @@ OpGraphExecutor::prepare(const RuntimeInputs &in, RunState &st,
                                           op.level, rng)
                      : ckks_->encrypt(std::get<CkksSlots>(slots),
                                       op.level, rng);
+            // Here the decomposition's limb loops still use the pool.
+            if (hoisted_[i])
+                m.digits[h] = rlwe_->hoistDecomposition(*m.cts[h]);
             if (first)
                 ++st.resident; // structural count, same for everyone
         } else if (op.kind == HeOpKind::kInputPlain) {
@@ -505,12 +527,14 @@ OpGraphExecutor::executeOp(int h, RunState &st, Member &m) const
                         : ckks_->mul(ct(op.a), ct(op.b));
         break;
       case HeOpKind::kRotate:
-        m.cts[h] = bgv_ ? bgv_->rotate(ct(op.a), op.rotateBy)
-                        : ckks_->rotate(ct(op.a), op.rotateBy);
+        // Empty digits (an unhoisted operand): the op decomposes.
+        m.cts[h] =
+            bgv_ ? bgv_->rotate(ct(op.a), op.rotateBy, m.digits[op.a])
+                 : ckks_->rotate(ct(op.a), op.rotateBy, m.digits[op.a]);
         break;
       case HeOpKind::kConjugate:
-        m.cts[h] = bgv_ ? bgv_->conjugate(ct(op.a))
-                        : ckks_->conjugate(ct(op.a));
+        m.cts[h] = bgv_ ? bgv_->conjugate(ct(op.a), m.digits[op.a])
+                        : ckks_->conjugate(ct(op.a), m.digits[op.a]);
         break;
       case HeOpKind::kModSwitch:
         m.cts[h] = bgv_ ? bgv_->modSwitch(ct(op.a))
@@ -520,6 +544,10 @@ OpGraphExecutor::executeOp(int h, RunState &st, Member &m) const
         m.outs[h] = ct(op.a);
         break;
     }
+    // The producer decomposes a hoisted result before it retires, so
+    // no consumer waits; the time lands in this op's span.
+    if (hoisted_[size_t(h)])
+        m.digits[h] = rlwe_->hoistDecomposition(*m.cts[h]);
 }
 
 /**
@@ -641,13 +669,19 @@ OpGraphExecutor::runGraph(RunState &st,
         return h;
     };
 
-    // Under mu. The ciphertexts move to `freed`, which the worker
-    // clears after dropping the lock: freeing them under it slowed
-    // the lola benchmark's p50 by 15%.
-    using Freed = std::vector<std::optional<Ciphertext>>;
+    // Under mu. The ciphertexts and their decompositions move to
+    // `freed`, which the worker clears after dropping the lock: freeing
+    // them under it slowed the lola benchmark's p50 by 15%.
+    struct Freed
+    {
+        std::vector<std::optional<Ciphertext>> cts;
+        std::vector<std::vector<uint32_t>> digits;
+    };
     auto release = [&](int h, Freed &freed) {
-        for (Member &m : st.members)
-            freed.push_back(std::exchange(m.cts[h], std::nullopt));
+        for (Member &m : st.members) {
+            freed.cts.push_back(std::exchange(m.cts[h], std::nullopt));
+            freed.digits.push_back(std::exchange(m.digits[h], {}));
+        }
         --st.resident;
         st.instant(obs::TraceEventKind::kRelease, h);
     };
@@ -699,7 +733,8 @@ OpGraphExecutor::runGraph(RunState &st,
                     std::lock_guard<std::mutex> lock(mu);
                     retire(wid, h, freed);
                 }
-                freed.clear();
+                freed.cts.clear();
+                freed.digits.clear();
             }
         } catch (...) {
             // Keep the first error and wake every sleeper: the other
@@ -750,6 +785,7 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
     for (size_t b = 0; b < B; ++b) {
         Member &m = st.members[b];
         m.cts.resize(n);
+        m.digits.resize(n);
         m.outs.resize(n);
         m.plainSlots.resize(n);
         m.traceId = inputs[b].traceId;

@@ -41,6 +41,17 @@
  * completes, instead of holding every intermediate until the program
  * ends. ExecutionResult::peakResidentCiphertexts reports the
  * high-water mark.
+ *
+ * Hoisting: under digit key switching, a ciphertext handle with two or
+ * more rotate/conjugate consumers is decomposed once per member
+ * (RlweScheme::hoistDecomposition), and every one of its Galois ops
+ * reuses the digits instead of decomposing its own rotated copy, with
+ * the same output words. The mark comes from the program graph alone.
+ * The producer decomposes right after the ciphertext exists: inputs in
+ * prepare (counted in prepareMs), op results inside executeOp, so the
+ * producing op's span and profile time include the decomposition and
+ * no consumer waits for it. The digits (L(L+1)N words) live on the
+ * heap beside the member's ciphertext and are released with it.
  */
 #ifndef F1_RUNTIME_OP_GRAPH_EXECUTOR_H
 #define F1_RUNTIME_OP_GRAPH_EXECUTOR_H
@@ -281,6 +292,7 @@ class OpGraphExecutor
     std::vector<std::vector<int>> dependents_; //!< ct-edge successors
     std::vector<int> indegree_;  //!< ct-operand count per op
     std::vector<int> consumers_; //!< ct uses of each op's result
+    std::vector<bool> hoisted_;  //!< decomposed once for its Galois ops
     size_t workOps_ = 0;         //!< non-source ops, run per member
 };
 

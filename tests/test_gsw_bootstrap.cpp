@@ -89,6 +89,30 @@ TEST(Gsw, CmuxSelects)
     EXPECT_EQ(bgv.decryptSlots(gsw.cmux(bit1, c0, c1))[0], 222u);
 }
 
+TEST(Gsw, EncryptionsDrawFreshRandomness)
+{
+    // Two RGSW encryptions at one level must not share masks: with
+    // equal a rows, the difference of the b rows is the difference of
+    // the plaintexts, readable without the key.
+    FheParams p;
+    p.n = 256;
+    p.maxLevel = 4;
+    p.primeBits = 28;
+    p.plainModulus = 65537;
+    FheContext ctx(p);
+    BgvScheme bgv(&ctx);
+    GswScheme gsw(&bgv);
+
+    const auto zero = gsw.encryptScalar(0, 3);
+    const auto one = gsw.encryptScalar(1, 3);
+    ASSERT_EQ(zero.cm.a.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_NE(zero.cm.a[i].raw(), one.cm.a[i].raw()) << "digit " << i;
+        EXPECT_NE(zero.csm.a[i].raw(), one.csm.a[i].raw())
+            << "digit " << i;
+    }
+}
+
 TEST(BgvBootstrap, RecryptsExhaustedCiphertext)
 {
     FheParams p;

@@ -1,12 +1,14 @@
 /**
  * @file
  * Direct tests of the key-switching core (paper §2.4, Listing 1):
- * digit decomposition invariants, hint sizes, agreement between the
- * two variants, and the modulus-switching primitive.
+ * digit decomposition invariants, the hoisted inner product against
+ * apply() of the rotated input, hint sizes, agreement between the two
+ * variants, and the modulus-switching primitive.
  */
 #include <gtest/gtest.h>
 
 #include "fhe/basis_extend.h"
+#include "fhe/encoder.h"
 #include "fhe/keyswitch.h"
 #include "modular/modarith.h"
 
@@ -62,29 +64,35 @@ TEST_F(KeySwitchTest, DigitDecompositionReconstructs)
 {
     // sum_i x~_i * P_i ≡ x (mod every q_j): check residue-wise using
     // the selector identity P_i ≡ δ_ij.
-    auto x = RnsPoly::uniform(ctx.polyContext(), 3, rng);
-    auto digits = digitDecomposeLift(x);
-    ASSERT_EQ(digits.size(), 3u);
+    const size_t level = 3, tracks = level + 1;
+    const uint32_t n = ctx.n();
+    auto x = RnsPoly::uniform(ctx.polyContext(), level, rng);
+    std::vector<uint32_t> digits(digitDecompositionWords(level, n));
+    sw.decompose(x, digits);
+    const auto track = [&](size_t i, size_t j) {
+        return std::span<const uint32_t>(digits).subspan(
+            (i * tracks + j) * n, n);
+    };
     // Residue j of the reconstruction = digit j's residue j.
-    for (size_t j = 0; j < 3; ++j) {
-        EXPECT_TRUE(std::equal(digits[j].residue(j).begin(),
-                               digits[j].residue(j).end(),
-                               x.residue(j).begin()));
+    for (size_t j = 0; j < level; ++j) {
+        auto t = track(j, j);
+        EXPECT_TRUE(std::equal(t.begin(), t.end(), x.residue(j).begin()));
     }
-    // Each digit is small: its coefficient-form residues agree across
-    // moduli (they lift a single small integer).
-    auto d0 = digits[0];
-    d0.toCoeff();
-    const uint32_t q0 = ctx.polyContext()->modulus(0);
-    const uint32_t q1 = ctx.polyContext()->modulus(1);
-    for (uint32_t i = 0; i < ctx.n(); ++i) {
-        int64_t v0 = d0.residue(0)[i] > q0 / 2
-                         ? (int64_t)d0.residue(0)[i] - q0
-                         : d0.residue(0)[i];
-        int64_t v1 = d0.residue(1)[i] > q1 / 2
-                         ? (int64_t)d0.residue(1)[i] - q1
-                         : d0.residue(1)[i];
-        EXPECT_EQ(v0, v1) << i;
+    // Digit 0 is small: every track, the special prime's included,
+    // holds the centered lift of x's residue 0 reduced mod its prime.
+    const PolyContext *pc = ctx.polyContext();
+    std::vector<uint32_t> x0(x.residue(0).begin(), x.residue(0).end());
+    pc->tables(0).inverse(x0);
+    const int64_t q0 = pc->modulus(0);
+    for (size_t j = 0; j < tracks; ++j) {
+        const size_t mod = j < level ? j : ctx.specialIndex();
+        const int64_t q = pc->modulus(mod);
+        std::vector<uint32_t> coeff(track(0, j).begin(), track(0, j).end());
+        pc->tables(mod).inverse(coeff);
+        for (uint32_t i = 0; i < n; ++i) {
+            const int64_t lift = x0[i] > q0 / 2 ? x0[i] - q0 : x0[i];
+            EXPECT_EQ(coeff[i], ((lift % q) + q) % q) << j << " " << i;
+        }
     }
 }
 
@@ -197,6 +205,74 @@ TEST_F(KeySwitchTest, DropLastModulusPreservesValueScaled)
         int64_t v = (int64_t)mag.toU64() * (neg ? -1 : 1);
         EXPECT_EQ(v, coeffs[i]) << i;
     }
+}
+
+/**
+ * Hoisting: at every level, for random x, innerProduct(decompose(x),
+ * hint for σ_g, g) returns apply(σ_g(x)) word for word, for rotation
+ * elements, the conjugation and g = 1 (where it is apply(x)).
+ */
+void
+expectInnerProductMatchesApply(const FheContext &c, uint64_t errorScale)
+{
+    const KeySwitcher ks(&c);
+    Rng r(99);
+    const SecretKey key = ks.keyGen(r);
+    const SlotOrder order(c.n());
+    const uint64_t gs[] = {1, order.rotationGalois(1),
+                           order.rotationGalois(3),
+                           order.rotationGalois(-1),
+                           order.conjugationGalois()};
+    for (size_t level = 1; level <= c.maxLevel(); ++level) {
+        const auto x = RnsPoly::uniform(c.polyContext(), level, r);
+        std::vector<uint32_t> digits(digitDecompositionWords(level, c.n()));
+        ks.decompose(x, digits);
+        for (uint64_t g : gs) {
+            const auto hint =
+                ks.makeHint(key.s.automorphism(g), key, level, errorScale,
+                            KeySwitchVariant::kDigitLxL, r);
+            const auto want =
+                ks.apply(x.automorphism(g), hint, errorScale);
+            const auto got = ks.innerProduct(digits, hint, errorScale, g);
+            EXPECT_EQ(got.first.raw(), want.first.raw())
+                << "level " << level << " g " << g;
+            EXPECT_EQ(got.second.raw(), want.second.raw())
+                << "level " << level << " g " << g;
+            if (g == 1) {
+                const auto plain = ks.apply(x, hint, errorScale);
+                EXPECT_EQ(got.first.raw(), plain.first.raw());
+                EXPECT_EQ(got.second.raw(), plain.second.raw());
+            }
+        }
+    }
+}
+
+TEST_F(KeySwitchTest, HoistedInnerProductMatchesApplyBgv)
+{
+    expectInnerProductMatchesApply(ctx, params().plainModulus);
+}
+
+TEST_F(KeySwitchTest, HoistedInnerProductMatchesApplyCkks)
+{
+    FheParams p;
+    p.n = 256;
+    p.maxLevel = 3;
+    p.primeBits = 28;
+    expectInnerProductMatchesApply(FheContext(p), 1);
+}
+
+TEST_F(KeySwitchTest, InnerProductRejectsMismatchedInputs)
+{
+    auto w = sk.s.mul(sk.s);
+    auto digitHint = sw.makeHint(w, sk, 3, 257,
+                                 KeySwitchVariant::kDigitLxL, rng);
+    auto ghsHint = sw.makeHint(w, sk, 3, 257,
+                               KeySwitchVariant::kGhsExtension, rng);
+    std::vector<uint32_t> digits(digitDecompositionWords(3, ctx.n()));
+    sw.decompose(RnsPoly::uniform(ctx.polyContext(), 3, rng), digits);
+    EXPECT_THROW(sw.innerProduct(digits, ghsHint, 257), PanicError);
+    digits.resize(digitDecompositionWords(2, ctx.n()));
+    EXPECT_THROW(sw.innerProduct(digits, digitHint, 257), PanicError);
 }
 
 TEST_F(KeySwitchTest, HintLevelMismatchRejected)

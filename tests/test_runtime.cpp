@@ -7,8 +7,9 @@
  * an op throwing mid-walk on a multi-worker pool), batched execution
  * (executeBatch bit-identity against solo runs for BGV and CKKS,
  * shared encoding cache accounting and its modulus-chain key for both
- * schemes, with decryptions checked against plaintext arithmetic), and
- * the multi-tenant serving pipeline (admission control driven by the
+ * schemes, with decryptions checked against plaintext arithmetic),
+ * hoisted rotations (outputs and NTT counts against op-by-op scheme
+ * calls, GHS left unhoisted), and the multi-tenant serving pipeline (admission control driven by the
  * metrics registry, coalesced batches matching isolated execution
  * across worker counts, registry counters and queue-depth gauges,
  * shutdown under load).
@@ -16,12 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <complex>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "common/lru_cache.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "runtime/op_graph_executor.h"
 #include "runtime/serving.h"
 
@@ -985,6 +989,253 @@ TEST(OpGraphExecutorTest, EncodingCacheKeysOnModulusChain)
         for (size_t i = 0; i < bx.size(); ++i)
             ASSERT_EQ(out[i], bx[i] * bw[i] % t) << i;
     }
+}
+
+//
+// Hoisted rotations
+//
+
+using CkksSlots = std::vector<std::complex<double>>;
+
+/**
+ * Rotation fan-out: one input feeding three rotations and a
+ * conjugate, and a rescaled product feeding two rotations, so the
+ * digit variant hoists two sources: x (k = 4 Galois consumers at
+ * level L) and the product (k = 2 at level L - 1).
+ */
+struct FanoutProgram
+{
+    static constexpr uint32_t kLevel = 4;
+    Program p{256, kLevel, "fanout"};
+    int x = -1, out3 = -1, outConj = -1, out4 = -1, out5 = -1;
+
+    FanoutProgram()
+    {
+        x = p.input();
+        const int r1 = p.rotate(x, 1);
+        const int r2 = p.rotate(x, 2);
+        const int r3 = p.rotate(x, 3);
+        const int cj = p.conjugate(x);
+        const int s = p.modSwitch(p.mul(r1, r2));
+        out3 = p.output(r3);
+        outConj = p.output(cj);
+        out4 = p.output(p.rotate(s, 4));
+        out5 = p.output(p.rotate(s, 5));
+    }
+};
+
+/** FanoutProgram's ops called one by one on the scheme, from the
+ *  ciphertext prepare() encrypts (Rng(seed), program order). */
+template <class Scheme, class Slots>
+ExecutionResult
+fanoutOpByOp(Scheme &scheme, const FanoutProgram &f, const Slots &slots,
+             uint64_t seed)
+{
+    constexpr bool kBgv = std::is_same_v<Scheme, BgvScheme>;
+    Rng rng(seed);
+    Ciphertext x;
+    if constexpr (kBgv)
+        x = scheme.encryptSlots(slots, f.kLevel, rng);
+    else
+        x = scheme.encrypt(slots, f.kLevel, rng);
+    const Ciphertext prod =
+        scheme.mul(scheme.rotate(x, 1), scheme.rotate(x, 2));
+    Ciphertext s;
+    if constexpr (kBgv)
+        s = scheme.modSwitch(prod);
+    else
+        s = scheme.rescale(prod);
+    ExecutionResult r;
+    r.outputs[f.out3] = scheme.rotate(x, 3);
+    r.outputs[f.outConj] = scheme.conjugate(x);
+    r.outputs[f.out4] = scheme.rotate(s, 4);
+    r.outputs[f.out5] = scheme.rotate(s, 5);
+    return r;
+}
+
+/**
+ * FanoutProgram on `scheme` for one batch member per entry of `slots`:
+ * every walk (threadBudget = 1, the default pool, a fused batch) must
+ * return the op-by-op words. With `hoists`, a profiled execute must
+ * save (k - 1) decompositions per source with k Galois consumers at
+ * level l: (k - 1) * l^2 forward and (k - 1) * l inverse NTTs.
+ */
+template <class Scheme, class Slots>
+void
+expectFanoutMatchesOpByOp(Scheme &scheme, const std::vector<Slots> &slots,
+                          bool hoists)
+{
+    const FanoutProgram f;
+    const OpGraphExecutor exec(f.p, &scheme);
+    std::vector<RuntimeInputs> ins(slots.size());
+    std::vector<ExecutionResult> refs;
+    for (size_t b = 0; b < slots.size(); ++b) {
+        ins[b].seed = 41 + b;
+        ins[b].bind(f.x, slots[b]);
+        // Also generates every hint, so no count below includes one.
+        refs.push_back(fanoutOpByOp(scheme, f, slots[b], ins[b].seed));
+    }
+    expectIdenticalOutputs(refs[0], exec.execute(ins[0], serialPolicy()));
+    expectIdenticalOutputs(refs[0], exec.execute(ins[0]));
+    const auto batch = exec.executeBatch(ins);
+    for (size_t b = 0; b < slots.size(); ++b)
+        expectIdenticalOutputs(refs[b], batch[b]);
+
+    obs::ProfileCollector opByOp;
+    {
+        obs::ProfileScope scope(&opByOp);
+        fanoutOpByOp(scheme, f, slots[0], ins[0].seed);
+    }
+    const auto count = [&](obs::ProfileCounter c) {
+        return opByOp.counters[size_t(c)].load();
+    };
+    ExecutionPolicy profiled;
+    profiled.telemetry.profile = true;
+    const auto prof = exec.execute(ins[0], profiled).profile;
+    const uint64_t l = f.kLevel;
+    const uint64_t savedFwd = hoists ? 3 * l * l + (l - 1) * (l - 1) : 0;
+    const uint64_t savedInv = hoists ? 3 * l + (l - 1) : 0;
+    EXPECT_EQ(prof->nttForward,
+              count(obs::ProfileCounter::kNttForward) - savedFwd);
+    EXPECT_EQ(prof->nttInverse,
+              count(obs::ProfileCounter::kNttInverse) - savedInv);
+    EXPECT_EQ(prof->keySwitchApplies,
+              count(obs::ProfileCounter::kKeySwitchApply));
+}
+
+/** Slots rotated left by r within each row of `row` slots. */
+template <class T>
+std::vector<T>
+rotatedRows(const std::vector<T> &v, size_t row, size_t r)
+{
+    std::vector<T> out(v.size());
+    for (size_t i = 0; i < v.size(); ++i)
+        out[i] = v[i - i % row + (i % row + r) % row];
+    return out;
+}
+
+/** FanoutProgram's BGV outputs against slot arithmetic mod t. */
+void
+expectFanoutDecryptsBgv(const BgvScheme &bgv, const FanoutProgram &f,
+                        const std::vector<uint64_t> &x,
+                        const ExecutionResult &res)
+{
+    const uint64_t t = bgv.plainModulus();
+    const size_t row = x.size() / 2;
+    const auto r1 = rotatedRows(x, row, 1), r2 = rotatedRows(x, row, 2);
+    std::vector<uint64_t> prod(x.size()), conj(x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+        prod[i] = r1[i] * r2[i] % t;
+        conj[i] = x[(i + row) % x.size()]; // the rows swap
+    }
+    EXPECT_EQ(bgv.decryptSlots(res.outputs.at(f.out3)),
+              rotatedRows(x, row, 3));
+    EXPECT_EQ(bgv.decryptSlots(res.outputs.at(f.outConj)), conj);
+    EXPECT_EQ(bgv.decryptSlots(res.outputs.at(f.out4)),
+              rotatedRows(prod, row, 4));
+    EXPECT_EQ(bgv.decryptSlots(res.outputs.at(f.out5)),
+              rotatedRows(prod, row, 5));
+}
+
+/** FanoutProgram's CKKS outputs against complex slot arithmetic. */
+void
+expectFanoutDecryptsCkks(const CkksScheme &ckks, const FanoutProgram &f,
+                         const CkksSlots &x, const ExecutionResult &res)
+{
+    const size_t n = x.size();
+    const auto r1 = rotatedRows(x, n, 1), r2 = rotatedRows(x, n, 2);
+    CkksSlots prod(n), conj(n);
+    for (size_t i = 0; i < n; ++i) {
+        prod[i] = r1[i] * r2[i];
+        conj[i] = std::conj(x[i]);
+    }
+    const std::pair<int, CkksSlots> want[] = {
+        {f.out3, rotatedRows(x, n, 3)},
+        {f.outConj, conj},
+        {f.out4, rotatedRows(prod, n, 4)},
+        {f.out5, rotatedRows(prod, n, 5)},
+    };
+    for (const auto &[h, slots] : want) {
+        const auto got = ckks.decrypt(res.outputs.at(h));
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_LT(std::abs(got[i] - slots[i]), 1e-3)
+                << "output " << h << " slot " << i;
+    }
+}
+
+std::vector<std::vector<uint64_t>>
+bgvFanoutSlots(size_t members)
+{
+    Rng rng(53);
+    std::vector<std::vector<uint64_t>> out;
+    for (size_t b = 0; b < members; ++b)
+        out.push_back(rng.uniformVector(256, 65537));
+    return out;
+}
+
+std::vector<CkksSlots>
+ckksFanoutSlots(size_t members)
+{
+    Rng rng(59);
+    std::vector<CkksSlots> out(members, CkksSlots(128));
+    for (CkksSlots &slots : out)
+        for (auto &s : slots)
+            s = {rng.uniformReal(-1, 1), rng.uniformReal(-1, 1)};
+    return out;
+}
+
+TEST(OpGraphExecutorTest, HoistedRotationsMatchOpByOpBgv)
+{
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    const auto slots = bgvFanoutSlots(3);
+    expectFanoutMatchesOpByOp(bgv, slots, /*hoists=*/true);
+
+    const FanoutProgram f;
+    RuntimeInputs in;
+    in.bind(f.x, slots[0]);
+    expectFanoutDecryptsBgv(bgv, f, slots[0],
+                            OpGraphExecutor(f.p, &bgv).execute(in));
+}
+
+TEST(OpGraphExecutorTest, HoistedRotationsMatchOpByOpCkks)
+{
+    FheContext ctx(smallParams());
+    CkksScheme ckks(&ctx);
+    const auto slots = ckksFanoutSlots(3);
+    expectFanoutMatchesOpByOp(ckks, slots, /*hoists=*/true);
+
+    const FanoutProgram f;
+    RuntimeInputs in;
+    in.bind(f.x, slots[0]);
+    expectFanoutDecryptsCkks(ckks, f, slots[0],
+                             OpGraphExecutor(f.p, &ckks).execute(in));
+}
+
+TEST(OpGraphExecutorTest, GhsRotationsStayUnhoisted)
+{
+    // GHS key switching is never hoisted: the same program runs its
+    // op-by-op NTT counts and words, and decrypts correctly.
+    FheParams params = smallParams();
+    params.auxCount = FanoutProgram::kLevel;
+    FheContext ctx(params);
+    const FanoutProgram f;
+
+    BgvScheme bgv(&ctx, 0, KeySwitchVariant::kGhsExtension);
+    const auto bgvSlots = bgvFanoutSlots(2);
+    expectFanoutMatchesOpByOp(bgv, bgvSlots, /*hoists=*/false);
+    RuntimeInputs bin;
+    bin.bind(f.x, bgvSlots[0]);
+    expectFanoutDecryptsBgv(bgv, f, bgvSlots[0],
+                            OpGraphExecutor(f.p, &bgv).execute(bin));
+
+    CkksScheme ckks(&ctx, KeySwitchVariant::kGhsExtension);
+    const auto ckksSlots = ckksFanoutSlots(2);
+    expectFanoutMatchesOpByOp(ckks, ckksSlots, /*hoists=*/false);
+    RuntimeInputs cin;
+    cin.bind(f.x, ckksSlots[0]);
+    expectFanoutDecryptsCkks(ckks, f, ckksSlots[0],
+                             OpGraphExecutor(f.p, &ckks).execute(cin));
 }
 
 //
