@@ -1,11 +1,10 @@
 #include "common/parallel.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <limits>
-#include <mutex>
 
 #include "common/error.h"
 #include "obs/profile.h"
@@ -14,163 +13,182 @@ namespace f1 {
 
 namespace {
 
-/** Set while a thread executes loop bodies; nested runs go inline. */
-thread_local bool t_inPool = false;
+/** The group the calling thread is a member of (ParkGroup::Join). */
+thread_local ParkGroup *t_group = nullptr;
+
+/** Set by InlineParallelScope: parallelFor runs inline. */
+thread_local bool t_inline = false;
+
+void
+runInline(size_t begin, size_t end,
+          const std::function<void(size_t)> &body)
+{
+    for (size_t i = begin; i < end; ++i)
+        body(i);
+}
 
 } // namespace
 
 /**
- * Shared pool state. A loop is published by bumping `generation`;
- * workers claim indices from the atomic `next` counter and report
- * completion through `active`. One batch is in flight at a time (run()
- * holds the loop until it drains), matching the bulk-synchronous
- * per-limb dispatch pattern of the callers.
+ * One published loop, on its publisher's stack. Indices are claimed
+ * from the atomic `next`; `helpers` counts the members draining it
+ * besides the publisher, which waits on its own `drained` variable
+ * (a shared one would let a retire's notify_one wake a publisher
+ * instead of a parked member).
  */
-struct ThreadPool::State
+struct ParkGroup::Loop
 {
-    std::mutex callers; //!< serializes concurrent external run() calls
-    std::mutex m;
-    std::condition_variable cvStart;
-    std::condition_variable cvDone;
-    uint64_t generation = 0;
-    bool stop = false;
+    Loop(const std::function<void(size_t)> &fn, size_t begin,
+         size_t stop)
+        : body(&fn), next(begin), end(stop),
+          collector(obs::profileCollector())
+    {
+    }
 
-    const std::function<void(size_t)> *body = nullptr;
-    std::atomic<size_t> next{0};
-    size_t end = 0;
-    unsigned active = 0; //!< workers still draining the current batch
-    std::exception_ptr error;
+    const std::function<void(size_t)> *body;
+    std::atomic<size_t> next;
+    const size_t end;
+    /** The publisher's profile collector, installed on every helper
+     *  for the loop's duration (see obs/profile.h). */
+    obs::ProfileCollector *const collector;
+    unsigned helpers = 0;          //!< under the group's mutex
+    std::exception_ptr error;      //!< first failure, under the mutex
+    std::condition_variable drained;
 
-    /**
-     * The dispatching thread's profile collector, inherited by every
-     * worker for the batch's duration so per-limb work nested inside
-     * a profiled job is attributed to that job even on pool threads
-     * (see obs/profile.h). One TLS store per batch when profiling is
-     * off — not per iteration.
-     */
-    obs::ProfileCollector *collector = nullptr;
-
-    /** Claims indices until the range drains; records one exception. */
-    void
+    /** Claims iterations until the range is exhausted; returns the
+     *  first exception one of them threw. */
+    std::exception_ptr
     drain()
     {
         obs::ProfileScope profScope(collector);
-        const auto &fn = *body;
+        std::exception_ptr err;
         for (;;) {
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= end)
-                return;
+                return err;
             try {
-                fn(i);
+                (*body)(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(m);
-                if (!error)
-                    error = std::current_exception();
+                if (!err)
+                    err = std::current_exception();
             }
         }
     }
 };
 
-ThreadPool::ThreadPool(unsigned threads) : state_(new State)
+bool
+ParkGroup::helpOne(std::unique_lock<std::mutex> &lock)
+{
+    for (Loop *loop : open_) {
+        if (loop->next.load(std::memory_order_relaxed) >= loop->end)
+            continue;
+        // Registered under the lock, so the publisher cannot return
+        // (and free the loop) until this helper deregisters. A helper
+        // is not parked while it works: its own nested loops, and
+        // other members', publish only if someone else is.
+        ++loop->helpers;
+        parked_.fetch_sub(1, std::memory_order_relaxed);
+        lock.unlock();
+        std::exception_ptr err = loop->drain();
+        lock.lock();
+        parked_.fetch_add(1, std::memory_order_relaxed);
+        if (err && !loop->error)
+            loop->error = err;
+        if (--loop->helpers == 0)
+            loop->drained.notify_one();
+        return true;
+    }
+    return false;
+}
+
+void
+ParkGroup::run(size_t begin, size_t end,
+               const std::function<void(size_t)> &body)
+{
+    // A busy group takes no lock: with nobody parked the loop runs
+    // inline, exactly as the serial path.
+    if (parked_.load(std::memory_order_relaxed) == 0)
+        runInline(begin, end, body);
+    else
+        publish(begin, end, body);
+}
+
+void
+ParkGroup::publish(size_t begin, size_t end,
+                   const std::function<void(size_t)> &body)
+{
+    Loop loop(body, begin, end);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        open_.push_back(&loop);
+    }
+    // The publisher takes one iteration itself; wake a parked member
+    // for each of the others.
+    const size_t want = end - begin - 1;
+    if (want >= parked_.load(std::memory_order_relaxed)) {
+        sleepers_.notify_all();
+    } else {
+        for (size_t k = 0; k < want; ++k)
+            sleepers_.notify_one();
+    }
+    std::exception_ptr err = loop.drain();
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        open_.erase(std::find(open_.begin(), open_.end(), &loop));
+        loop.drained.wait(lock, [&] { return loop.helpers == 0; });
+        if (!err)
+            err = loop.error;
+    }
+    if (err)
+        std::rethrow_exception(err);
+}
+
+ParkGroup::Join::Join(ParkGroup &group) : prev_(t_group)
+{
+    t_group = &group;
+}
+
+ParkGroup::Join::~Join()
+{
+    t_group = prev_;
+}
+
+ThreadPool::ThreadPool(unsigned threads)
 {
     F1_REQUIRE(threads >= 1, "thread pool needs at least one thread");
     workers_.reserve(threads - 1);
-    for (unsigned i = 0; i + 1 < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    for (unsigned i = 0; i + 1 < threads; ++i) {
+        workers_.emplace_back([this] {
+            ParkGroup::Join member(group_);
+            std::unique_lock<std::mutex> lock(group_.mutex());
+            group_.park(lock, [this] { return stop_; });
+        });
+    }
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(state_->m);
-        state_->stop = true;
+        std::lock_guard<std::mutex> lock(group_.mutex());
+        stop_ = true;
     }
-    state_->cvStart.notify_all();
+    group_.wakeAll();
     for (auto &w : workers_)
         w.join();
-}
-
-void
-ThreadPool::workerLoop()
-{
-    t_inPool = true;
-    State &st = *state_;
-    uint64_t seen = 0;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(st.m);
-            st.cvStart.wait(lock, [&] {
-                return st.stop || st.generation != seen;
-            });
-            if (st.stop)
-                return;
-            seen = st.generation;
-        }
-        st.drain();
-        {
-            std::lock_guard<std::mutex> lock(st.m);
-            if (--st.active == 0)
-                st.cvDone.notify_all();
-        }
-    }
 }
 
 void
 ThreadPool::run(size_t begin, size_t end,
                 const std::function<void(size_t)> &body)
 {
-    if (end <= begin)
-        return;
-    // Serial fallback: no workers, a single iteration, or a nested
-    // call from inside a pool thread all run inline, in index order.
-    if (workers_.empty() || end - begin == 1 || t_inPool) {
-        for (size_t i = begin; i < end; ++i)
-            body(i);
+    if (workers_.empty() || end <= begin + 1) {
+        runInline(begin, end, body);
         return;
     }
-
-    State &st = *state_;
-    // One external batch at a time: a second application thread
-    // calling in while workers drain would otherwise clobber the
-    // shared batch state. Held until the batch fully drains.
-    std::lock_guard<std::mutex> callerLock(st.callers);
-    {
-        std::lock_guard<std::mutex> lock(st.m);
-        st.body = &body;
-        st.next.store(begin, std::memory_order_relaxed);
-        st.end = end;
-        st.active = static_cast<unsigned>(workers_.size());
-        st.error = nullptr;
-        st.collector = obs::profileCollector();
-        ++st.generation;
-    }
-    st.cvStart.notify_all();
-
-    // The calling thread participates; mark it as in-pool so bodies
-    // that recurse into parallelFor stay serial.
-    t_inPool = true;
-    st.drain();
-    t_inPool = false;
-
-    // st.body points at the caller's stack frame; it must be nulled
-    // before run() returns on EVERY path — including an exception out
-    // of cvDone.wait and the body-exception rethrow below — or a
-    // later batch could chase a pointer into a dead frame.
-    std::exception_ptr err;
-    {
-        std::unique_lock<std::mutex> lock(st.m);
-        try {
-            st.cvDone.wait(lock, [&] { return st.active == 0; });
-        } catch (...) {
-            st.body = nullptr;
-            throw;
-        }
-        st.body = nullptr;
-        err = st.error;
-        st.error = nullptr;
-    }
-    if (err)
-        std::rethrow_exception(err);
+    // The caller is a member while it drains: its iterations' nested
+    // calls go to the workers, and parallelWidth() reads 1 in them.
+    ParkGroup::Join member(group_);
+    group_.publish(begin, end, body);
 }
 
 unsigned
@@ -234,7 +252,7 @@ globalThreadCount()
 unsigned
 parallelWidth()
 {
-    return t_inPool ? 1 : globalThreadCount();
+    return t_inline || t_group != nullptr ? 1 : globalThreadCount();
 }
 
 void
@@ -255,23 +273,28 @@ setGlobalThreadCount(unsigned n)
     // last of them finishes its batch.
 }
 
-InlineParallelScope::InlineParallelScope() : prev_(t_inPool)
+InlineParallelScope::InlineParallelScope() : prev_(t_inline)
 {
-    // Reuses the pool's own nested-call mechanism: a thread flagged as
-    // in-pool always takes the inline path in ThreadPool::run.
-    t_inPool = true;
+    t_inline = true;
 }
 
 InlineParallelScope::~InlineParallelScope()
 {
-    t_inPool = prev_;
+    t_inline = prev_;
 }
 
 void
 parallelFor(size_t begin, size_t end,
             const std::function<void(size_t)> &body)
 {
-    globalPool()->run(begin, end, body);
+    if (end <= begin)
+        return;
+    if (t_inline || end - begin == 1)
+        runInline(begin, end, body);
+    else if (t_group != nullptr)
+        t_group->run(begin, end, body);
+    else
+        globalPool()->run(begin, end, body);
 }
 
 } // namespace f1

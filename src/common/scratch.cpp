@@ -48,16 +48,20 @@ struct ScratchMetrics
     }
 };
 
-/** Capacities are rounded to powers of two so the handful of distinct
- *  request sizes per workload (n, limb×n, l) converge on a small set
- *  of reusable blocks. */
+/** Capacities are rounded up to quarter octaves (8, 10, 12, 14, 16,
+ *  20, 24, ... words) so the handful of distinct request sizes per
+ *  workload (n, limb×n, l) converge on a small set of reusable blocks
+ *  while a block exceeds its request by less than a quarter: the
+ *  digit key switch's L(L+1)N-word decomposition and (L+1)N-word
+ *  accumulators fit exactly at L = 4. */
 size_t
 roundCapacity(size_t words)
 {
-    size_t cap = 8;
-    while (cap < words)
-        cap <<= 1;
-    return cap;
+    size_t octave = 8;
+    while (octave * 2 <= words)
+        octave <<= 1;
+    const size_t step = octave / 4;
+    return std::max(octave, (words + step - 1) / step * step);
 }
 
 } // namespace

@@ -4,14 +4,15 @@
  * hot paths report into, and the ExecutionProfile it distills.
  *
  * Attribution model: the OpGraphExecutor installs one collector for
- * the duration of a run (ProfileScope), and the thread pool INHERITS
- * the dispatching thread's collector into every worker executing that
- * batch (see ThreadPool::run). An NTT running on a pool thread as part
- * of job A's key-switch is therefore counted against job A's
- * collector even while job B dispatches concurrently — each pool
- * batch carries its own caller's collector, so per-job counts are
- * exact whether a job's limb loops run inline (serving workers) or on
- * the shared pool (direct execute() calls).
+ * the duration of a run (ProfileScope), and every thread that helps a
+ * published loop INHERITS the publisher's collector for that loop
+ * (see ParkGroup in common/parallel.h). An NTT running on a pool
+ * thread or another walk worker as part of job A's key-switch is
+ * therefore counted against job A's collector even while job B
+ * dispatches concurrently — each published loop carries its own
+ * publisher's collector, so per-job counts are exact whether a job's
+ * limb loops run inline (serving workers) or on helpers (direct
+ * execute() calls).
  *
  * Cost when off (no collector installed): every hook is one
  * thread-local pointer load and a predictable branch — this file is

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <sstream>
@@ -300,6 +299,24 @@ OpGraphExecutor::buildGraph()
 {
     const auto &ops = prog_.ops();
     const size_t n = ops.size();
+
+    // A program that does not fit the context is rejected here, with
+    // the handle named, instead of failing deep inside prepare or an
+    // op's arithmetic. Raw programs skip the builder's level checks,
+    // so every op is checked.
+    const FheContext &ctx = *rlwe_->context();
+    F1_REQUIRE(prog_.n() == ctx.n(),
+               "program '" << prog_.name() << "' has ring degree "
+                           << prog_.n() << " but the scheme's is "
+                           << ctx.n());
+    for (size_t i = 0; i < n; ++i)
+        F1_REQUIRE(ops[i].level >= 1 && ops[i].level <= ctx.maxLevel(),
+                   "op " << i << " (" << opKindName(ops[i].kind)
+                         << ") is at level " << ops[i].level
+                         << " but the scheme's modulus chain has "
+                            "levels 1.."
+                         << ctx.maxLevel());
+
     dependents_.assign(n, {});
     indegree_.assign(n, 0);
     consumers_.assign(n, 0);
@@ -598,13 +615,16 @@ OpGraphExecutor::runOp(int h, RunState &st, Member &m) const
  * whose last operand it was join the heap, and operands it consumed
  * for the last time are released. No round barrier exists, so an
  * expensive op never stalls independent work that becomes ready while
- * it runs; a worker that finds the heap empty sleeps on the condition
- * variable instead of spinning.
+ * it runs. With two or more workers they form a ParkGroup around the
+ * mutex: a worker that finds the heap empty parks through it, runs
+ * iterations of the limb loops the running ops publish, and sleeps
+ * only when there are none, so an op that runs alone still spreads
+ * over every worker.
  *
  * Synchronization: the heap, the dependency and use counts and the
- * RunState counters are guarded by the mutex. An op is popped only
- * after its producers retired under that mutex, so it observes their
- * ciphertext writes, and a ciphertext is released only by the
+ * RunState counters are guarded by the group's mutex. An op is popped
+ * only after its producers retired under that mutex, so it observes
+ * their ciphertext writes, and a ciphertext is released only by the
  * retirement that drops its last use, after every reader ran.
  */
 void
@@ -619,16 +639,15 @@ OpGraphExecutor::runGraph(RunState &st,
         return prio.before(b, a);
     };
 
-    // Sized by the width parallelFor can actually use here: inside an
-    // InlineParallelScope that is 1, so one worker drains the heap in
-    // priority order.
+    // Sized by parallelWidth(): inside an InlineParallelScope or a
+    // group member (a pool body, another walk's worker) that is 1, so
+    // one worker drains the heap in priority order.
     unsigned workers = parallelWidth();
     if (policy.threadBudget != 0)
         workers = std::min(workers, policy.threadBudget);
     const size_t W = std::max(workers, 1u);
 
-    std::mutex mu;
-    std::condition_variable cv;
+    ParkGroup group;
     std::vector<int> heap; //!< ready ops, min-heap by priority
     std::vector<int> indeg = indegree_;
     std::vector<int> uses = consumers_;
@@ -649,11 +668,12 @@ OpGraphExecutor::runGraph(RunState &st,
     }
     std::make_heap(heap.begin(), heap.end(), heapCmp);
 
-    // Waits for a ready op and pops the most urgent one; -1 once every
-    // op has retired or a worker has thrown.
+    // Waits for a ready op, helping running ops' limb loops
+    // meanwhile, and pops the most urgent one; -1 once every op has
+    // retired or a worker has thrown.
     auto claim = [&](size_t wid) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] {
+        std::unique_lock<std::mutex> lock(group.mutex());
+        group.park(lock, [&] {
             return error || !heap.empty() || remaining == 0;
         });
         if (error || heap.empty())
@@ -669,7 +689,7 @@ OpGraphExecutor::runGraph(RunState &st,
         return h;
     };
 
-    // Under mu. The ciphertexts and their decompositions move to
+    // Under the lock. The ciphertexts and their decompositions move to
     // `freed`, which the worker clears after dropping the lock: freeing
     // them under it slowed the lola benchmark's p50 by 15%.
     struct Freed
@@ -686,7 +706,7 @@ OpGraphExecutor::runGraph(RunState &st,
         st.instant(obs::TraceEventKind::kRelease, h);
     };
 
-    // Under mu.
+    // Under the lock.
     auto retire = [&](size_t wid, int h, Freed &freed) {
         --running;
         if (producesCiphertext(ops[h])) {
@@ -705,7 +725,7 @@ OpGraphExecutor::runGraph(RunState &st,
             heap.push_back(dep);
             std::push_heap(heap.begin(), heap.end(), heapCmp);
             if (std::exchange(claimed, true))
-                cv.notify_one();
+                group.wakeOne();
         }
         // Release operands this op consumed for the last time.
         int deps[2];
@@ -714,7 +734,7 @@ OpGraphExecutor::runGraph(RunState &st,
             if (d >= 0 && --uses[d] == 0)
                 release(d, freed);
         if (--remaining == 0)
-            cv.notify_all();
+            group.wakeAll();
     };
 
     // The batching primitive: the work unit stays one op across ALL
@@ -724,13 +744,18 @@ OpGraphExecutor::runGraph(RunState &st,
     // instead of once per job. Member outputs are disjoint, so no
     // member-level synchronization is needed.
     auto worker = [&](size_t wid) {
+        // A one-worker walk joins no group: its limb loops go where
+        // the caller's would (the pool, or inline).
+        std::optional<ParkGroup::Join> member;
+        if (W > 1)
+            member.emplace(group);
         Freed freed;
         try {
             for (int h = claim(wid); h >= 0; h = claim(wid)) {
                 for (Member &m : st.members)
                     runOp(h, st, m);
                 {
-                    std::lock_guard<std::mutex> lock(mu);
+                    std::lock_guard<std::mutex> lock(group.mutex());
                     retire(wid, h, freed);
                 }
                 freed.cts.clear();
@@ -740,10 +765,10 @@ OpGraphExecutor::runGraph(RunState &st,
             // Keep the first error and wake every sleeper: the other
             // workers stop at their next claim, and the caller
             // rethrows.
-            std::lock_guard<std::mutex> lock(mu);
+            std::lock_guard<std::mutex> lock(group.mutex());
             if (!error)
                 error = std::current_exception();
-            cv.notify_all();
+            group.wakeAll();
         }
     };
 
@@ -798,8 +823,8 @@ OpGraphExecutor::executeBatch(std::span<const RuntimeInputs> inputs,
         st.runId = obs::allocateTraceId();
 
     // The profile collector lives on the stack for exactly this run.
-    // The ProfileScope around each phase makes pool batches dispatched
-    // from it inherit the collector (see ThreadPool::run), so nested
+    // The ProfileScope around each phase makes loops published from it
+    // carry the collector to their helpers (see ParkGroup), so nested
     // limb-parallel work is attributed to this run — and a run WITHOUT
     // a collector shadows any outer one instead of polluting it. A
     // batch collects ONE profile/trace for the whole traversal and

@@ -6,27 +6,28 @@
  * F1 exploits parallelism below the program (limbs, lanes); this
  * executor adds the level above it: each HeOp's ciphertext operands
  * define a dependency DAG over the Program's op list, and independent
- * ops execute concurrently on the shared thread pool. Per-op FHE
- * kernels called from a pool worker take the pool's inline path, so
- * the two levels compose without nesting deadlocks: wide op-level
- * parallelism narrows gracefully into per-limb parallelism.
+ * ops execute concurrently on the shared thread pool. The walk's
+ * workers form a ParkGroup (common/parallel.h): an op's limb loops run
+ * inline while every worker is busy and are published to the workers
+ * that found nothing to claim otherwise, so wide op-level parallelism
+ * narrows into per-limb parallelism without nested-pool deadlocks.
  *
  * One scheduler, one ready heap: workers pop the most urgent ready op
  * from a single priority heap under one mutex, run it, and on
  * retiring it push the consumers it readied; a worker that finds the
- * heap empty sleeps on a condition variable until an op is readied.
- * No thread ever waits at a round barrier. When
+ * heap empty parks, helping the running ops' limb loops, and sleeps
+ * only when none is open. No thread ever waits at a round barrier. When
  * ExecutionPolicy::scheduleHints carries the compiler's static
  * schedule, ready ops are prioritized critical-path-first
  * (cycle-scheduler issue order) with memory-scheduler liveness rank
  * as the tie-break — F1's §4.4 static schedule driving dynamic
  * execution. Without hints the priority is ascending handle.
  *
- * The serial walk is the same scheduler with one worker:
- * threadBudget = 1, a one-thread pool, or an InlineParallelScope runs
- * one op at a time in priority order (program order for builder
- * programs without hints). Under threadBudget = 1 on a wider pool the
- * limb loops inside each op still use the pool.
+ * The serial walk is the same scheduler with one worker, and no
+ * group: threadBudget = 1, a one-thread pool, or an
+ * InlineParallelScope runs one op at a time in priority order (program
+ * order for builder programs without hints). Under threadBudget = 1 on
+ * a wider pool the limb loops inside each op still use the pool.
  *
  * Determinism contract: every homomorphic op is a pure function of
  * its operands (hint randomness is derived per identity — see
@@ -35,6 +36,10 @@
  * outputs are bit-identical for any thread count, threadBudget,
  * schedule hints, and concurrent-job interleaving.
  * tests/test_runtime.cpp asserts this.
+ *
+ * Construction rejects a program that does not fit the scheme's
+ * context: a ring degree other than the context's, or an op whose
+ * level lies outside [1, maxLevel] (pushRaw programs included).
  *
  * Liveness: the executor counts the consumers of every ciphertext
  * handle and releases each ciphertext after its last consumer

@@ -1,19 +1,25 @@
 /**
  * @file
  * Tests for the limb-parallel execution engine: pool semantics
- * (coverage, exceptions, nesting) and the bit-identical contract — the
- * threaded NTT, element-wise, basis-extension, and key-switching paths
- * must produce exactly the serial reference's output for any thread
- * count.
+ * (coverage, exceptions, nesting), the park-and-help group (published
+ * loops run on parked members, exceptions and profile counts reach
+ * the publisher, nested publishes, inline fallbacks) and the
+ * bit-identical contract — the threaded NTT, element-wise,
+ * basis-extension, and key-switching paths must produce exactly the
+ * serial reference's output for any thread count.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -21,6 +27,7 @@
 #include "fhe/bgv.h"
 #include "fhe/keyswitch.h"
 #include "modular/primes.h"
+#include "obs/profile.h"
 #include "poly/rns_poly.h"
 
 namespace f1 {
@@ -195,6 +202,216 @@ TEST(ParallelFor, GlobalThreadCountControl)
     EXPECT_EQ(calls, 16);
     setGlobalThreadCount(0); // back to configured default
     EXPECT_GE(globalThreadCount(), 1u);
+}
+
+//
+// ParkGroup: members park together and help each other's loops
+//
+
+/**
+ * `count` threads that join `group` and park until destroyed. The
+ * constructor returns once every one of them is parked: park() counts
+ * a member in the same critical section as its first ready() check,
+ * so a thread that takes the mutex after all of them checked sees
+ * them all parked.
+ */
+class ParkedMembers
+{
+  public:
+    ParkedMembers(ParkGroup &group, unsigned count) : group_(group)
+    {
+        for (unsigned i = 0; i < count; ++i) {
+            threads_.emplace_back([this] {
+                ParkGroup::Join member(group_);
+                std::unique_lock<std::mutex> lock(group_.mutex());
+                bool first = true;
+                group_.park(lock, [&] {
+                    if (std::exchange(first, false))
+                        ++arrived_;
+                    return done_;
+                });
+            });
+        }
+        for (;;) {
+            {
+                std::lock_guard<std::mutex> lock(group_.mutex());
+                if (arrived_ == count)
+                    return;
+            }
+            std::this_thread::yield();
+        }
+    }
+
+    ~ParkedMembers()
+    {
+        {
+            std::lock_guard<std::mutex> lock(group_.mutex());
+            done_ = true;
+        }
+        group_.wakeAll();
+        for (auto &t : threads_)
+            t.join();
+    }
+
+  private:
+    ParkGroup &group_;
+    unsigned arrived_ = 0; //!< under the group's mutex
+    bool done_ = false;    //!< under the group's mutex
+    std::vector<std::thread> threads_;
+};
+
+/**
+ * Records which thread ran each index. An iteration on the calling
+ * thread blocks until a helper has run one, and a helper's until the
+ * caller has, so a published loop always runs on the caller and on at
+ * least one helper (it needs more indices than helpers).
+ */
+class HelpedLoop
+{
+  public:
+    explicit HelpedLoop(size_t n) : ran_(n) {}
+
+    void
+    operator()(size_t i)
+    {
+        const bool mine = std::this_thread::get_id() == caller_;
+        {
+            std::lock_guard<std::mutex> lock(m_);
+            ran_[i].push_back(std::this_thread::get_id());
+        }
+        (mine ? callerRan_ : helperRan_) = true;
+        const std::atomic<bool> &other = mine ? helperRan_ : callerRan_;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!other && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    }
+
+    /** Every index ran exactly once; returns the threads that ran. */
+    std::set<std::thread::id>
+    threads() const
+    {
+        std::set<std::thread::id> ids;
+        for (size_t i = 0; i < ran_.size(); ++i) {
+            EXPECT_EQ(ran_[i].size(), 1u) << "index " << i;
+            ids.insert(ran_[i].begin(), ran_[i].end());
+        }
+        return ids;
+    }
+
+  private:
+    const std::thread::id caller_ = std::this_thread::get_id();
+    std::mutex m_;
+    std::vector<std::vector<std::thread::id>> ran_;
+    std::atomic<bool> callerRan_{false};
+    std::atomic<bool> helperRan_{false};
+};
+
+TEST(ParkGroup, PublishedLoopRunsOnParkedMembers)
+{
+    ParkGroup group;
+    ParkedMembers parked(group, 2);
+    ParkGroup::Join member(group);
+    EXPECT_EQ(parallelWidth(), 1u);
+    HelpedLoop loop(64);
+    parallelFor(0, 64, [&](size_t i) { loop(i); });
+    const auto ids = loop.threads();
+    EXPECT_GT(ids.size(), 1u);
+    EXPECT_TRUE(ids.count(std::this_thread::get_id()));
+}
+
+TEST(ParkGroup, RunsInlineWhenNoMemberIsParked)
+{
+    ParkGroup group;
+    ParkGroup::Join member(group);
+    EXPECT_EQ(parallelWidth(), 1u);
+    std::vector<size_t> order;
+    std::set<std::thread::id> ids;
+    parallelFor(0, 32, [&](size_t i) {
+        order.push_back(i);
+        ids.insert(std::this_thread::get_id());
+    });
+    std::vector<size_t> want(32);
+    std::iota(want.begin(), want.end(), size_t{0});
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(ids, std::set{std::this_thread::get_id()});
+}
+
+TEST(ParkGroup, HelperExceptionReachesPublisher)
+{
+    ParkGroup group;
+    ParkedMembers parked(group, 2);
+    ParkGroup::Join member(group);
+    const auto caller = std::this_thread::get_id();
+    for (int round = 0; round < 4; ++round) {
+        HelpedLoop loop(32);
+        EXPECT_THROW(parallelFor(0, 32,
+                                 [&](size_t i) {
+                                     loop(i);
+                                     if (std::this_thread::get_id() !=
+                                         caller)
+                                         F1_FATAL("helper " << i);
+                                 }),
+                     FatalError);
+        EXPECT_GT(loop.threads().size(), 1u);
+        // The group stays usable: the next loop runs every index.
+        HelpedLoop after(32);
+        parallelFor(0, 32, [&](size_t i) { after(i); });
+        EXPECT_GT(after.threads().size(), 1u);
+    }
+}
+
+TEST(ParkGroup, HelpedIterationMayPublishAgain)
+{
+    ParkGroup group;
+    ParkedMembers parked(group, 2);
+    ParkGroup::Join member(group);
+    std::vector<std::atomic<int>> grid(16 * 16);
+    HelpedLoop outer(16);
+    parallelFor(0, 16, [&](size_t i) {
+        outer(i);
+        parallelFor(0, 16, [&](size_t j) { grid[i * 16 + j] += 1; });
+    });
+    EXPECT_GT(outer.threads().size(), 1u);
+    for (const auto &cell : grid)
+        EXPECT_EQ(cell.load(), 1);
+}
+
+TEST(ParkGroup, HelpersCountIntoThePublishersCollector)
+{
+    ParkGroup group;
+    ParkedMembers parked(group, 2);
+    ParkGroup::Join member(group);
+    obs::ProfileCollector collector;
+    obs::ProfileScope scope(&collector);
+    HelpedLoop loop(48);
+    parallelFor(0, 48, [&](size_t i) {
+        loop(i);
+        obs::profileAdd(obs::ProfileCounter::kNttForward);
+    });
+    EXPECT_GT(loop.threads().size(), 1u);
+    EXPECT_EQ(collector
+                  .counters[size_t(obs::ProfileCounter::kNttForward)]
+                  .load(),
+              48u);
+}
+
+TEST(ParkGroup, InlineScopeOverridesMembership)
+{
+    ParkGroup group;
+    ParkedMembers parked(group, 2);
+    ParkGroup::Join member(group);
+    InlineParallelScope inlineScope;
+    std::vector<size_t> order;
+    std::set<std::thread::id> ids;
+    parallelFor(0, 32, [&](size_t i) {
+        order.push_back(i);
+        ids.insert(std::this_thread::get_id());
+    });
+    std::vector<size_t> want(32);
+    std::iota(want.begin(), want.end(), size_t{0});
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(ids, std::set{std::this_thread::get_id()});
 }
 
 /** Serial vs threaded runs of `fn` must agree byte-for-byte. */

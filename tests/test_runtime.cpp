@@ -9,10 +9,13 @@
  * shared encoding cache accounting and its modulus-chain key for both
  * schemes, with decryptions checked against plaintext arithmetic),
  * hoisted rotations (outputs and NTT counts against op-by-op scheme
- * calls, GHS left unhoisted), and the multi-tenant serving pipeline (admission control driven by the
- * metrics registry, coalesced batches matching isolated execution
- * across worker counts, registry counters and queue-depth gauges,
- * shutdown under load).
+ * calls, GHS left unhoisted), helped limb loops (a narrow chain on the
+ * pool against the serial walk and op-by-op calls, words and profile
+ * counts), up-front rejection of programs that do not fit the
+ * context, and the multi-tenant serving pipeline (admission control
+ * driven by the metrics registry, coalesced batches matching isolated
+ * execution across worker counts, registry counters and queue-depth
+ * gauges, shutdown under load).
  */
 #include <gtest/gtest.h>
 
@@ -549,6 +552,62 @@ TEST(OpGraphExecutorTest, HintSizeMismatchThrows)
     wrong.startCycle.assign(3, 0);
     wrong.releaseRank.assign(3, 0);
     EXPECT_THROW(exec.execute({}, hintedPolicy(&wrong)), FatalError);
+}
+
+/** The FatalError message `fn` throws ("" if it throws none). */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(OpGraphExecutorTest, RejectsProgramDeeperThanTheChain)
+{
+    FheParams params = smallParams();
+    params.maxLevel = 4;
+    FheContext ctx(params);
+    CkksScheme ckks(&ctx);
+    // Built for five levels on a four-level chain: without the check
+    // it constructs, then fails in execute on an inverse of zero.
+    Program deep(256, 5, "deep");
+    const int x = deep.input();
+    deep.output(deep.modSwitch(deep.mul(x, x)));
+    const std::string msg =
+        fatalMessage([&] { OpGraphExecutor exec(deep, &ckks); });
+    EXPECT_NE(msg.find("op 0 (input) is at level 5"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("1..4"), std::string::npos) << msg;
+
+    // Raw programs skip the builder's checks; level 0 is rejected too.
+    Program raw(256, 4, "raw");
+    raw.pushRaw({HeOpKind::kInput, -1, -1, 0, 4});
+    raw.pushRaw({HeOpKind::kAdd, 0, 0, 0, 0});
+    raw.pushRaw({HeOpKind::kOutput, 1, -1, 0, 0});
+    const std::string rawMsg =
+        fatalMessage([&] { OpGraphExecutor exec(raw, &ckks); });
+    EXPECT_NE(rawMsg.find("op 1 (add) is at level 0"),
+              std::string::npos)
+        << rawMsg;
+}
+
+TEST(OpGraphExecutorTest, RejectsProgramOfAnotherRingDegree)
+{
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    // Without the check this fails in prepare, on a slot count.
+    Program wide(512, 4, "n512");
+    wide.output(wide.rotate(wide.input(), 1));
+    const std::string msg =
+        fatalMessage([&] { OpGraphExecutor exec(wide, &bgv); });
+    EXPECT_NE(msg.find("ring degree 512 but the scheme's is 256"),
+              std::string::npos)
+        << msg;
 }
 
 TEST(OpGraphExecutorTest, OpThrowingMidWalkStopsEveryWorker)
@@ -1236,6 +1295,109 @@ TEST(OpGraphExecutorTest, GhsRotationsStayUnhoisted)
     cin.bind(f.x, ckksSlots[0]);
     expectFanoutDecryptsCkks(ckks, f, ckksSlots[0],
                              OpGraphExecutor(f.p, &ckks).execute(cin));
+}
+
+//
+// Helped limb loops: an op that runs alone spreads over idle workers
+//
+
+/** A narrow chain: every op consumes the one before it, so the walk
+ *  runs one op at a time and its idle workers help that op's limb
+ *  loops. */
+struct NarrowChain
+{
+    static constexpr uint32_t kLevel = 4;
+    Program p{256, kLevel, "narrow"};
+    int x = -1, out = -1;
+
+    NarrowChain()
+    {
+        x = p.input();
+        int h = p.rotate(x, 1);
+        h = p.modSwitch(p.mul(h, h));
+        h = p.rotate(h, 3);
+        h = p.modSwitch(p.mul(h, h));
+        out = p.output(p.rotate(h, 5));
+    }
+};
+
+/** NarrowChain's ops called one by one on the scheme, from the
+ *  ciphertext prepare() encrypts (Rng(seed)). */
+template <class Scheme, class Slots>
+Ciphertext
+narrowChainOpByOp(Scheme &scheme, const Slots &slots, uint64_t seed)
+{
+    constexpr bool kBgv = std::is_same_v<Scheme, BgvScheme>;
+    const auto rescale = [&](const Ciphertext &c) {
+        if constexpr (kBgv)
+            return scheme.modSwitch(c);
+        else
+            return scheme.rescale(c);
+    };
+    Rng rng(seed);
+    Ciphertext h;
+    if constexpr (kBgv)
+        h = scheme.encryptSlots(slots, NarrowChain::kLevel, rng);
+    else
+        h = scheme.encrypt(slots, NarrowChain::kLevel, rng);
+    h = scheme.rotate(h, 1);
+    h = rescale(scheme.mul(h, h));
+    h = scheme.rotate(h, 3);
+    h = rescale(scheme.mul(h, h));
+    return scheme.rotate(h, 5);
+}
+
+/**
+ * NarrowChain on a 4-thread pool, where the walk's idle workers help
+ * the lone op's limb loops, against the serial walk and the op-by-op
+ * calls: the same words, and the same NTT and key-switch counts in the
+ * profile (helpers count into the running job's collector).
+ */
+template <class Scheme, class Slots>
+void
+expectHelpedChainMatchesSerial(Scheme &scheme, const Slots &slots)
+{
+    const NarrowChain c;
+    const OpGraphExecutor exec(c.p, &scheme);
+    RuntimeInputs in;
+    in.seed = 61;
+    in.bind(c.x, slots);
+    // Also generates every hint, so no profile below counts one.
+    ExecutionResult ref;
+    ref.outputs[c.out] = narrowChainOpByOp(scheme, slots, in.seed);
+
+    ExecutionPolicy serial = serialPolicy();
+    serial.telemetry.profile = true;
+    ExecutionPolicy pooled;
+    pooled.telemetry.profile = true;
+    setGlobalThreadCount(4);
+    const auto walk1 = exec.execute(in, serial);
+    const auto walk4 = exec.execute(in, pooled);
+    setGlobalThreadCount(0);
+    expectIdenticalOutputs(ref, walk1);
+    expectIdenticalOutputs(ref, walk4);
+    EXPECT_EQ(walk4.maxWavefrontWidth, 1u);
+    ASSERT_NE(walk1.profile, nullptr);
+    ASSERT_NE(walk4.profile, nullptr);
+    EXPECT_GT(walk1.profile->nttForward, 0u);
+    EXPECT_EQ(walk4.profile->nttForward, walk1.profile->nttForward);
+    EXPECT_EQ(walk4.profile->nttInverse, walk1.profile->nttInverse);
+    EXPECT_EQ(walk4.profile->keySwitchApplies,
+              walk1.profile->keySwitchApplies);
+}
+
+TEST(OpGraphExecutorTest, HelpedNarrowChainMatchesSerialBgv)
+{
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    expectHelpedChainMatchesSerial(bgv, bgvFanoutSlots(1)[0]);
+}
+
+TEST(OpGraphExecutorTest, HelpedNarrowChainMatchesSerialCkks)
+{
+    FheContext ctx(smallParams());
+    CkksScheme ckks(&ctx);
+    expectHelpedChainMatchesSerial(ckks, ckksFanoutSlots(1)[0]);
 }
 
 //

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the pooled scratch arena: checkout/reuse semantics, RAII
- * release, move handling, worker-thread caches, and the steady-state
- * contract on the key-switching hot path — after warm-up, apply()
- * performs zero heap allocations.
+ * release, move handling, quarter-octave block capacities,
+ * worker-thread caches, and the steady-state contract on the
+ * key-switching hot path — after warm-up, apply() performs zero heap
+ * allocations.
  */
 #include <gtest/gtest.h>
 
@@ -34,6 +35,14 @@ heapAllocs()
 {
     return obs::MetricsRegistry::global()
         .counter("scratch.heap_allocs")
+        .value();
+}
+
+uint64_t
+heapWords()
+{
+    return obs::MetricsRegistry::global()
+        .counter("scratch.heap_words")
         .value();
 }
 
@@ -134,6 +143,28 @@ TEST(Scratch, BestFitPrefersSmallestSufficientBlock)
         << "both requests should have been served from the cache";
     (void)s;
     (void)b;
+}
+
+TEST(Scratch, CapacityRoundsToQuarterOctaves)
+{
+    // The digit key switch's decomposition at N = 8192, L = 4 is
+    // L(L+1)N u32 words, 81,920 arena words = 1.25 x 2^16: its block
+    // is exactly that large, not the next power of two.
+    ScratchArena::releaseThreadCache();
+    const uint64_t words0 = heapWords();
+    {
+        auto decomposition = ScratchArena::i64(81920);
+        EXPECT_EQ(heapWords() - words0, 81920u);
+    }
+    // One word more takes the next quarter octave (1.5 x 2^16), and
+    // small requests step by a quarter of their octave too.
+    ScratchArena::releaseThreadCache();
+    const uint64_t words1 = heapWords();
+    {
+        auto above = ScratchArena::i64(81921);
+        auto small = ScratchArena::i64(9);
+        EXPECT_EQ(heapWords() - words1, 98304u + 10u);
+    }
 }
 
 TEST(Scratch, WorkerThreadsKeepTheirOwnCaches)
