@@ -11,7 +11,13 @@
  * are bit-identical. Part 2 times the element-wise product over 8,192
  * residues at N = 4096 (two limbs) and N = 8192 (one limb): the
  * division-based mulMod reference against mulModBarrett, in ns per
- * product, and cross-checks every product. Part 3 runs GHS and digit
+ * product, and cross-checks every product. Part 2b ("lift") times the
+ * modulus-switch limb kernels at N = 8192: the centered lift of one
+ * residue into another prime (liftCentered, w = 65537 as in a BGV
+ * scale-down) in ns per word, and the key-switch multiply-accumulate
+ * of kMacTerms digit products per word (LazyMacBlock) in ns per
+ * product next to the per-product Barrett form it replaced; both are
+ * checked word for word against a % reference. Part 3 runs GHS and digit
  * key-switching in steady state and reports the scratch arena's
  * checkout statistics: heap allocations per apply() must be zero once
  * warm. Part 4 ("hoisted") rotates one level-4 ciphertext's c1 R
@@ -26,9 +32,10 @@
  *   --smoke  fewer reps and smaller sizes, for the CI canary.
  *
  * Exits nonzero on any correctness failure (lazy/strict or
- * Barrett/mulMod divergence, a warm apply() that hits the heap, or a
- * hoisted rotation that differs from its apply()); the speedup numbers
- * themselves are data points, not gates.
+ * Barrett/mulMod divergence, a lift or multiply-accumulate that
+ * differs from its % reference, a warm apply() that hits the heap, or
+ * a hoisted rotation that differs from its apply()); the speedup
+ * numbers themselves are data points, not gates.
  */
 #include <algorithm>
 #include <chrono>
@@ -42,6 +49,7 @@
 #include "fhe/encoder.h"
 #include "fhe/fhe_context.h"
 #include "fhe/keyswitch.h"
+#include "modular/limb_kernels.h"
 #include "modular/modarith.h"
 #include "modular/primes.h"
 #include "obs/metrics.h"
@@ -168,6 +176,97 @@ runElementwise(uint32_t n, size_t reps)
     const double barMs = (nowMs() - t1) / reps;
     return {n, limbs, reps, refMs * 1e6 / kProducts,
             barMs * 1e6 / kProducts, ref == bar};
+}
+
+/** Digit products per word in the multiply-accumulate row: lola's L. */
+constexpr size_t kMacTerms = 4;
+
+struct LiftRow
+{
+    uint32_t n;
+    size_t reps;
+    double liftNs;       //!< per word
+    double macNs;        //!< per product, LazyMacBlock
+    double barrettMacNs; //!< per product, one Barrett per product
+    bool identical;
+};
+
+/**
+ * The modulus-switch kernels over one N = 8192 limb, single-threaded
+ * (mean of `reps` passes each): a centered lift from a 28-bit prime
+ * into another, and kMacTerms digit products per word summed into two
+ * accumulators, as in KeySwitcher::innerProduct.
+ */
+LiftRow
+runLift(size_t reps)
+{
+    const uint32_t n = 8192;
+    const std::vector<uint32_t> qs = generateNttPrimes(2, 28, n);
+    const uint32_t p = qs[0], m = qs[1];
+    const uint32_t w = 65537 % m;
+    Rng rng(n + 2);
+    std::vector<uint32_t> src(n);
+    for (auto &v : src)
+        v = static_cast<uint32_t>(rng.uniform(p));
+
+    std::vector<uint32_t> lifted(n);
+    const double t0 = nowMs();
+    for (size_t r = 0; r < reps; ++r)
+        liftCentered(src, p, lifted, m, w);
+    const double liftMs = (nowMs() - t0) / reps;
+    bool identical = true;
+    for (uint32_t i = 0; i < n; ++i) {
+        const int64_t c = src[i] > p / 2 ? int64_t(src[i]) - p : src[i];
+        identical = identical &&
+                    lifted[i] == uint32_t(((c * w) % m + m) % m);
+    }
+
+    std::vector<std::vector<uint32_t>> x(kMacTerms), h0(kMacTerms),
+        h1(kMacTerms);
+    for (size_t t = 0; t < kMacTerms; ++t)
+        for (auto *v : {&x[t], &h0[t], &h1[t]}) {
+            v->resize(n);
+            for (auto &e : *v)
+                e = static_cast<uint32_t>(rng.uniform(m));
+        }
+    std::vector<uint32_t> lazy0(n), lazy1(n), bar0(n), bar1(n);
+    const double t1 = nowMs();
+    for (size_t r = 0; r < reps; ++r)
+        for (uint32_t base = 0; base < n; base += LazyMacBlock::kBlock) {
+            LazyMacBlock mac(m, LazyMacBlock::kBlock);
+            for (size_t t = 0; t < kMacTerms; ++t)
+                mac.add(x[t].data() + base, h0[t].data() + base,
+                        h1[t].data() + base);
+            mac.finish(lazy0.data() + base, lazy1.data() + base);
+        }
+    const double macMs = (nowMs() - t1) / reps;
+    const uint64_t mu = barrettPrecompute(m);
+    const double t2 = nowMs();
+    for (size_t r = 0; r < reps; ++r) {
+        std::fill(bar0.begin(), bar0.end(), 0);
+        std::fill(bar1.begin(), bar1.end(), 0);
+        for (size_t t = 0; t < kMacTerms; ++t)
+            for (uint32_t i = 0; i < n; ++i) {
+                bar0[i] = addMod(
+                    bar0[i], mulModBarrett(x[t][i], h0[t][i], m, mu), m);
+                bar1[i] = addMod(
+                    bar1[i], mulModBarrett(x[t][i], h1[t][i], m, mu), m);
+            }
+    }
+    const double barrettMs = (nowMs() - t2) / reps;
+    for (uint32_t i = 0; i < n; ++i) {
+        uint64_t ref0 = 0, ref1 = 0;
+        for (size_t t = 0; t < kMacTerms; ++t) {
+            ref0 += uint64_t(x[t][i]) * h0[t][i] % m;
+            ref1 += uint64_t(x[t][i]) * h1[t][i] % m;
+        }
+        identical = identical && lazy0[i] == ref0 % m &&
+                    lazy1[i] == ref1 % m && bar0[i] == lazy0[i] &&
+                    bar1[i] == lazy1[i];
+    }
+    const double products = 2.0 * kMacTerms * n;
+    return {n, reps, liftMs * 1e6 / n, macMs * 1e6 / products,
+            barrettMs * 1e6 / products, identical};
 }
 
 /** The lazy stage kernel the loader binds on this CPU. */
@@ -318,6 +417,8 @@ run(bool smoke)
     for (uint32_t n : {4096u, 8192u})
         mulRows.push_back(runElementwise(n, smoke ? 16 : 512));
 
+    const LiftRow lift = runLift(smoke ? 16 : 512);
+
     const size_t applies = smoke ? 4 : 16;
     const ArenaRow arena[] = {
         runKeySwitchArena(KeySwitchVariant::kGhsExtension,
@@ -362,6 +463,14 @@ run(bool smoke)
                i + 1 < mulRows.size() ? "," : "");
     }
     printf("  ],\n");
+    ok = ok && lift.identical;
+    printf("  \"lift\": {\"n\": %u, \"reps\": %zu, "
+           "\"lift_ns_per_word\": %.3f, \"mac_terms\": %zu, "
+           "\"mac_ns_per_product\": %.3f, "
+           "\"barrett_mac_ns_per_product\": %.3f, "
+           "\"bit_identical\": %s},\n",
+           lift.n, lift.reps, lift.liftNs, kMacTerms, lift.macNs,
+           lift.barrettMacNs, lift.identical ? "true" : "false");
     printf("  \"keyswitch_arena\": [\n");
     for (size_t i = 0; i < 2; ++i) {
         const ArenaRow &r = arena[i];

@@ -4,6 +4,7 @@
 #include "common/parallel.h"
 #include "common/scratch.h"
 #include "fhe/basis_extend.h"
+#include "modular/limb_kernels.h"
 #include "modular/modarith.h"
 #include "obs/profile.h"
 #include "poly/automorphism.h"
@@ -151,20 +152,14 @@ KeySwitcher::decompose(const RnsPoly &x, std::span<uint32_t> out) const
              << digitDecompositionWords(level, n));
 
     auto coeff = ScratchArena::u32(n);
-    auto lifted = ScratchArena::i64(n);
-    const std::span<const int64_t> lift = lifted.span();
     for (size_t i = 0; i < level; ++i) {
-        // Digit i: residue i of x, taken to coefficient form and
-        // center-lifted (Listing 1 lines 3 and 8).
+        // Digit i: residue i of x, taken to coefficient form; each
+        // track center-lifts it (Listing 1 lines 3 and 8).
         std::copy(x.residue(i).begin(), x.residue(i).end(), coeff.data());
         pc->tables(i).inverse(coeff.span());
         const uint32_t qi = pc->modulus(i);
-        for (size_t idx = 0; idx < n; ++idx)
-            lifted[idx] = coeff[idx] > qi / 2
-                              ? (int64_t)coeff[idx] - qi
-                              : (int64_t)coeff[idx];
 
-        // One track per work unit: each reduces the shared lift into
+        // One track per work unit: each lifts the shared digit into
         // its own modulus and transforms it into its NTT domain.
         parallelFor(0, tracks, [&](size_t track) {
             std::span<uint32_t> dst =
@@ -176,10 +171,7 @@ KeySwitcher::decompose(const RnsPoly &x, std::span<uint32_t> out) const
                 return;
             }
             const size_t ridx = track < level ? track : sp;
-            const uint32_t m = pc->modulus(ridx);
-            const uint64_t mu = barrettPrecompute(m);
-            for (size_t idx = 0; idx < n; ++idx)
-                dst[idx] = reduceSignedBarrett(lift[idx], m, mu);
+            liftCentered(coeff.span(), qi, dst, pc->modulus(ridx), 1);
             pc->tables(ridx).forward(dst);
         });
     }
@@ -213,35 +205,33 @@ KeySwitcher::innerProduct(std::span<const uint32_t> digits,
     const uint32_t *const permp = g != 1 ? perm.data() : nullptr;
 
     // Accumulators over level cipher residues + the special residue.
-    auto acc0 = ScratchArena::u32(tracks * n, /*zeroed=*/true);
-    auto acc1 = ScratchArena::u32(tracks * n, /*zeroed=*/true);
+    auto acc0 = ScratchArena::u32(tracks * n);
+    auto acc1 = ScratchArena::u32(tracks * n);
 
     // Multiply-accumulate every digit against its hint digit, one
     // track per work unit: tracks write disjoint accumulator slices
-    // and only read the digits.
+    // and only read the digits. Within a track, block by block, the
+    // level products of a word are summed in 64-bit lanes and reduced
+    // once.
     parallelFor(0, tracks, [&](size_t track) {
         const size_t ridx = track < level ? track : sp;
         const uint32_t m = pc->modulus(ridx);
-        const uint64_t mu = barrettPrecompute(m);
-        uint32_t *o0 = acc0.data() + track * n;
-        uint32_t *o1 = acc1.data() + track * n;
-        for (size_t i = 0; i < level; ++i) {
-            const uint32_t *xt = digits.data() + (i * tracks + track) * n;
-            const uint32_t *ha = hint.a[i].residue(ridx).data();
-            const uint32_t *hb = hint.b[i].residue(ridx).data();
-            const auto mac = [&](auto load) {
-                for (size_t idx = 0; idx < n; ++idx) {
-                    const uint32_t v = load(idx);
-                    o1[idx] = addMod(
-                        o1[idx], mulModBarrett(v, ha[idx], m, mu), m);
-                    o0[idx] = addMod(
-                        o0[idx], mulModBarrett(v, hb[idx], m, mu), m);
-                }
-            };
-            if (permp != nullptr)
-                mac([&](size_t idx) { return xt[permp[idx]]; });
-            else
-                mac([&](size_t idx) { return xt[idx]; });
+        for (uint32_t base = 0; base < n; base += LazyMacBlock::kBlock) {
+            const uint32_t len =
+                std::min<uint32_t>(LazyMacBlock::kBlock, n - base);
+            LazyMacBlock mac(m, len);
+            for (size_t i = 0; i < level; ++i) {
+                const uint32_t *xt =
+                    digits.data() + (i * tracks + track) * n;
+                const uint32_t *hb = hint.b[i].residue(ridx).data() + base;
+                const uint32_t *ha = hint.a[i].residue(ridx).data() + base;
+                if (permp != nullptr)
+                    mac.add(xt, hb, ha, permp + base);
+                else
+                    mac.add(xt + base, hb, ha);
+            }
+            mac.finish(acc0.data() + track * n + base,
+                       acc1.data() + track * n + base);
         }
     });
 
@@ -258,28 +248,20 @@ KeySwitcher::innerProduct(std::span<const uint32_t> digits,
             for (auto &v : spTrack)
                 v = mulModShoup(v, tinv, pre, p_sp);
         }
-        auto delta = ScratchArena::i64(n);
-        const uint32_t half = p_sp / 2;
-        for (size_t idx = 0; idx < n; ++idx) {
-            int64_t d = spTrack[idx] > half
-                            ? (int64_t)spTrack[idx] - p_sp
-                            : (int64_t)spTrack[idx];
-            delta[idx] = d * static_cast<int64_t>(errorScale);
-        }
         RnsPoly result(pc, level, Domain::kNtt);
-        RnsPoly dpoly =
-            RnsPoly::fromSigned(pc, level, delta.span(), Domain::kNtt);
         parallelForLimbs(level, [&](size_t j) {
             const uint32_t q = pc->modulus(j);
+            auto out = result.residue(j);
+            // δ = errorScale * (centered spTrack), in NTT form.
+            liftCentered(spTrack, p_sp, out, q,
+                         static_cast<uint32_t>(errorScale % q));
+            pc->tables(j).forward(out);
             const uint32_t pinv = invMod(p_sp % q, q);
             const uint32_t pre = shoupPrecompute(pinv, q);
-            auto out = result.residue(j);
-            auto dres = dpoly.residue(j);
             const uint32_t *in = acc.data() + j * n;
-            for (size_t idx = 0; idx < n; ++idx) {
-                uint32_t diff = subMod(in[idx], dres[idx], q);
-                out[idx] = mulModShoup(diff, pinv, pre, q);
-            }
+            for (size_t idx = 0; idx < n; ++idx)
+                out[idx] =
+                    mulModShoup(subMod(in[idx], out[idx], q), pinv, pre, q);
         });
         return result;
     };
@@ -440,21 +422,22 @@ dropLastModulusRounded(RnsPoly &p, uint64_t tAdjust)
         for (auto &v : y.span())
             v = mulModShoup(v, tinv, pre, q_last);
     }
-    auto delta = ScratchArena::i64(n);
-    const uint32_t half = q_last / 2;
-    for (size_t j = 0; j < n; ++j) {
-        int64_t d = y[j] > half ? (int64_t)y[j] - q_last : (int64_t)y[j];
-        delta[j] = d * static_cast<int64_t>(tAdjust);
-    }
 
-    RnsPoly dpoly =
-        RnsPoly::fromSigned(pc, last, delta.span(), Domain::kNtt);
+    // p_i = (p_i - δ) * q_last^-1 mod q_i, with δ lifted into q_i and
+    // taken to its NTT domain.
+    parallelForLimbs(last, [&](size_t i) {
+        const uint32_t q = pc->modulus(i);
+        auto delta = ScratchArena::u32(n);
+        liftCentered(y.span(), q_last, delta.span(), q,
+                     static_cast<uint32_t>(tAdjust % q));
+        pc->tables(i).forward(delta.span());
+        const uint32_t qinv = invMod(q_last % q, q);
+        const uint32_t pre = shoupPrecompute(qinv, q);
+        auto r = p.residue(i);
+        for (size_t j = 0; j < n; ++j)
+            r[j] = mulModShoup(subMod(r[j], delta[j], q), qinv, pre, q);
+    });
     p.dropLastResidue();
-    p -= dpoly;
-    auto scal = ScratchArena::u32(last);
-    for (size_t i = 0; i < last; ++i)
-        scal[i] = invMod(q_last % pc->modulus(i), pc->modulus(i));
-    p.mulScalarPerResidue(scal.span());
 }
 
 } // namespace f1

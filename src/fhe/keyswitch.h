@@ -8,9 +8,14 @@
  *  - kDigitLxL ("Listing 1"): RNS-digit decomposition. The hint is an
  *    L×L matrix pair (2*L*L residue vectors, ~32 MB at L=16, N=16K);
  *    applying it is a decomposition of x (L inverse and L^2 forward
- *    NTTs, over the L primes and the special prime) plus an inner
- *    product with the hint (2L(L+1) multiply-adds per coefficient, then
- *    the special-prime scale-down: 2 inverse and 2L forward NTTs).
+ *    NTTs, over the L primes and the special prime, with a centered
+ *    lift of one Shoup multiply per word before each forward NTT)
+ *    plus an inner product with the hint (2L(L+1) multiply-adds per
+ *    coefficient, summed in 64-bit lanes and reduced once per word
+ *    and sum; then the special-prime scale-down: 2 inverse NTTs and
+ *    2L lifts and forward NTTs). The element-wise steps are the limb
+ *    kernels of modular/limb_kernels.h; at N = 8192, L = 4 the NTTs
+ *    are most of the rest.
  *    The decomposition depends only on x, so the rotations of one
  *    ciphertext can share it (hoisting: decompose, then innerProduct).
  *
@@ -197,6 +202,9 @@ class KeySwitcher
  * q_last with rounding (modulus switching / CKKS rescaling):
  * p' = (p - δ)/q_last where δ ≡ p (mod q_last) and δ ≡ 0 (mod tAdjust).
  * Use tAdjust = t for BGV, 1 for CKKS. Input and output in NTT domain.
+ * Costs one inverse NTT, then per remaining residue a centered lift
+ * of δ (liftCentered), a forward NTT and one subtract-and-multiply
+ * pass.
  */
 void dropLastModulusRounded(RnsPoly &p, uint64_t tAdjust);
 

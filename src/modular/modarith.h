@@ -9,6 +9,14 @@
  * q < 2^30 (kLazyModulusBits) so the Harvey lazy-butterfly pipeline can
  * carry values in [0, 4q) without overflow; see mulModShoupLazy and the
  * value-range table in README.md.
+ *
+ * Cost per word: a Shoup multiply (fixed operand) and a WideModulus
+ * reduction of a 64-bit value (two lazy Shoup multiplies) use 32-bit
+ * multiply-highs, which an AVX2 loop runs eight to a vector; a Barrett
+ * multiply needs a 128-bit multiply-high, which stays scalar. The
+ * modulus-switch loops therefore use the former
+ * (modular/limb_kernels.h); Barrett serves products of two variable
+ * residues.
  */
 #ifndef F1_MODULAR_MODARITH_H
 #define F1_MODULAR_MODARITH_H
@@ -82,29 +90,18 @@ barrettReduce(uint64_t x, uint32_t q, uint64_t mu)
 }
 
 /**
- * a * b mod q without a division: the element-wise product of the
- * RNS hot loops. Valid for any 32-bit a and b (a * b < 2^64), so an
+ * a * b mod q without a division: the element-wise product of two
+ * variable residues (RnsPoly::mulEq, GHS, basis extension, the GSW
+ * product). Valid for any 32-bit a and b (a * b < 2^64), so an
  * operand reduced modulo a different prime needs no pre-reduction.
- * Equals mulMod(a, b, q).
+ * Equals mulMod(a, b, q). One 128-bit multiply-high per product; the
+ * digit key switch, which sums L products per word, reduces once per
+ * word instead (LazyMacBlock).
  */
 inline uint32_t
 mulModBarrett(uint32_t a, uint32_t b, uint32_t q, uint64_t mu)
 {
     return barrettReduce((uint64_t)a * b, q, mu);
-}
-
-/**
- * Signed x mod q into [0, q): ((x % q) + q) % q without a division,
- * for any int64_t x. Used to lift centered coefficients and signed
- * products such as d * t into a residue.
- */
-inline uint32_t
-reduceSignedBarrett(int64_t x, uint32_t q, uint64_t mu)
-{
-    const uint64_t mag = x < 0 ? 0 - static_cast<uint64_t>(x)
-                               : static_cast<uint64_t>(x);
-    const uint32_t r = barrettReduce(mag, q, mu);
-    return x < 0 && r != 0 ? q - r : r;
 }
 
 /** -a mod q. */
@@ -208,6 +205,51 @@ lazyCorrect(uint32_t x, uint32_t q, uint32_t twoQ)
     x = std::min(x, x - twoQ);
     return std::min(x, x - q);
 }
+
+/**
+ * Reduction of 64-bit values modulo an NTT prime m < 2^30 without a
+ * 128-bit multiply or a division: x = hi * 2^32 + lo is congruent to
+ * hi * (2^32 mod m) + lo, each term is one lazy Shoup multiply
+ * (mulModShoupLazy takes any 32-bit operand) into [0, 2m), and their
+ * sum, below 4m < 2^32, takes one lazyCorrect. Every step is a 32-bit
+ * lane operation, so a loop of them vectorizes like the NTT's
+ * butterflies. The limb kernels (modular/limb_kernels.h) run it once
+ * per word.
+ */
+struct WideModulus
+{
+    uint32_t m = 0;
+    uint32_t r32 = 0;    //!< 2^32 mod m
+    uint32_t r32Pre = 0; //!< shoupPrecompute(r32, m)
+    uint32_t onePre = 0; //!< shoupPrecompute(1, m) = floor(2^32 / m)
+
+    explicit WideModulus(uint32_t modulus) : m(modulus)
+    {
+        F1_CHECK(modulus >= 2 && modulus < (1u << kLazyModulusBits),
+                 "wide reduction needs 2 <= m < 2^" << kLazyModulusBits
+                 << ", got " << modulus);
+        r32 = static_cast<uint32_t>((uint64_t(1) << 32) % modulus);
+        r32Pre = shoupPrecompute(r32, modulus);
+        onePre = shoupPrecompute(1, modulus);
+    }
+
+    /** (hi * 2^32 + lo) mod m in [0, m). */
+    uint32_t
+    reduce(uint32_t hi, uint32_t lo) const
+    {
+        return lazyCorrect(mulModShoupLazy(hi, r32, r32Pre, m) +
+                               mulModShoupLazy(lo, 1, onePre, m),
+                           m, 2 * m);
+    }
+
+    /** x mod m in [0, m), for any 64-bit x. */
+    uint32_t
+    reduce(uint64_t x) const
+    {
+        return reduce(static_cast<uint32_t>(x >> 32),
+                      static_cast<uint32_t>(x));
+    }
+};
 
 } // namespace f1
 

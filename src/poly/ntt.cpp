@@ -4,6 +4,7 @@
 
 #include "common/bits.h"
 #include "common/error.h"
+#include "modular/limb_kernels.h"
 #include "modular/modarith.h"
 #include "modular/primes.h"
 #include "obs/profile.h"
@@ -102,30 +103,8 @@ bitReversePermute(std::span<uint32_t> a)
     }
 }
 
-// The lazy kernels below are compiled from one source twice, for AVX2
-// and for baseline x86-64, and the dynamic loader binds each call to
-// the clone the CPU supports (an ifunc, hence the glibc guard). Both
-// clones run the same exact 32-bit integer arithmetic, so their
-// outputs are bit-identical; only the vector width differs.
-// ThreadSanitizer instruments the ifunc resolver itself, which the
-// loader runs before the sanitizer runtime is up (every gcc 12 TSan
-// binary crashed at load), so TSan builds compile the baseline only.
-#if defined(__SANITIZE_THREAD__)
-#define F1_TSAN_BUILD
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define F1_TSAN_BUILD
-#endif
-#endif
-#if defined(__x86_64__) && defined(__GLIBC__) && !defined(F1_TSAN_BUILD) \
-    && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define F1_LIMB_KERNEL __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef F1_LIMB_KERNEL
-#define F1_LIMB_KERNEL
-#endif
+// The lazy kernels below carry F1_LIMB_KERNEL: one AVX2 and one
+// baseline clone, bit-identical (modular/limb_kernels.h).
 
 /**
  * Forward Harvey butterfly on one (lo, hi) pair with twiddle w: lo is

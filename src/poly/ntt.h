@@ -38,7 +38,8 @@ namespace f1 {
  * end (folded into the ψ^-i/N scaling for the negacyclic inverse).
  * They permute through a bit-reversal table built at construction,
  * and their loops are compiled for AVX2 and for baseline x86-64, the
- * loader picking one per CPU (see ntt.cpp); both give the same bits.
+ * loader picking one per CPU (F1_LIMB_KERNEL in
+ * modular/limb_kernels.h); both give the same bits.
  * Inputs must be reduced ([0, q)); outputs are reduced. The *Strict
  * variants run the original fully-reduced butterflies and exist as
  * the golden reference for equivalence tests and the bench_ntt_lazy

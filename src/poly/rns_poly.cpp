@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
+#include "modular/limb_kernels.h"
 #include "modular/modarith.h"
 #include "poly/automorphism.h"
 
@@ -37,11 +38,8 @@ RnsPoly::fromSigned(const PolyContext *ctx, size_t levels,
     F1_REQUIRE(coeffs.size() == ctx->n(), "coefficient count mismatch");
     RnsPoly p(ctx, levels, Domain::kCoeff);
     parallelForLimbs(levels, [&](size_t i) {
-        const uint32_t q = ctx->modulus(i);
-        const uint64_t mu = barrettPrecompute(q);
         auto res = p.residue(i);
-        for (size_t j = 0; j < coeffs.size(); ++j)
-            res[j] = reduceSignedBarrett(coeffs[j], q, mu);
+        reduceSigned(coeffs, res, ctx->modulus(i));
         if (target == Domain::kNtt)
             ctx->tables(i).forward(res);
     });

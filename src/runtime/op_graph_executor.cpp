@@ -24,24 +24,25 @@ namespace f1 {
 namespace {
 
 /**
- * Ciphertext operands of an op, written to out[0..1] (-1 = none).
- * kAddPlain/kMulPlain's b names a plaintext handle, not a ciphertext
- * edge; kInput/kInputPlain are sources.
+ * Ciphertext operands of an op, written to out[0..1] (-1 = none), and
+ * how many the op kind takes. kAddPlain/kMulPlain's b names a
+ * plaintext handle, not a ciphertext edge; kInput/kInputPlain are
+ * sources.
  */
-void
+int
 ctOperands(const HeOp &op, int out[2])
 {
     out[0] = out[1] = -1;
     switch (op.kind) {
       case HeOpKind::kInput:
       case HeOpKind::kInputPlain:
-        break;
+        return 0;
       case HeOpKind::kAdd:
       case HeOpKind::kSub:
       case HeOpKind::kMul:
         out[0] = op.a;
         out[1] = op.b;
-        break;
+        return 2;
       case HeOpKind::kAddPlain:
       case HeOpKind::kMulPlain:
       case HeOpKind::kRotate:
@@ -49,8 +50,9 @@ ctOperands(const HeOp &op, int out[2])
       case HeOpKind::kModSwitch:
       case HeOpKind::kOutput:
         out[0] = op.a;
-        break;
+        return 1;
     }
+    return 0;
 }
 
 bool
@@ -322,25 +324,44 @@ OpGraphExecutor::buildGraph()
     consumers_.assign(n, 0);
     std::vector<int> galoisConsumers(n, 0);
     workOps_ = 0;
+    // Every operand an op kind takes must name another op of the
+    // program that yields what the op reads: a ciphertext, or for a
+    // plain op's b an input_plain. Raw programs are checked here;
+    // otherwise a missing operand leaves its op unready forever and
+    // a negative handle indexes out of bounds.
+    const auto inRange = [&](int h) {
+        return h >= 0 && static_cast<size_t>(h) < n;
+    };
     for (size_t i = 0; i < n; ++i) {
-        if (!isSource(ops[i]))
+        const HeOp &op = ops[i];
+        if (!isSource(op))
             ++workOps_;
         int deps[2];
-        ctOperands(ops[i], deps);
-        for (int d : deps) {
-            if (d < 0)
-                continue;
-            F1_REQUIRE(static_cast<size_t>(d) < n &&
-                           d != static_cast<int>(i),
-                       "op " << i << " references invalid handle "
-                             << d);
+        const int arity = ctOperands(op, deps);
+        for (int k = 0; k < arity; ++k) {
+            const int d = deps[k];
+            F1_REQUIRE(inRange(d) && d != static_cast<int>(i),
+                       "op " << i << " (" << opKindName(op.kind)
+                             << ") references invalid handle " << d);
+            F1_REQUIRE(producesCiphertext(ops[d]),
+                       "op " << i << " (" << opKindName(op.kind)
+                             << ") reads handle " << d << " ("
+                             << opKindName(ops[d].kind)
+                             << "), which holds no ciphertext");
             dependents_[d].push_back(static_cast<int>(i));
             ++indegree_[i];
             ++consumers_[d];
         }
-        if (ops[i].kind == HeOpKind::kRotate ||
-            ops[i].kind == HeOpKind::kConjugate)
-            ++galoisConsumers[ops[i].a];
+        if (op.kind == HeOpKind::kAddPlain ||
+            op.kind == HeOpKind::kMulPlain)
+            F1_REQUIRE(inRange(op.b) &&
+                           ops[op.b].kind == HeOpKind::kInputPlain,
+                       "op " << i << " (" << opKindName(op.kind)
+                             << ") takes plaintext handle " << op.b
+                             << ", which is not an input_plain op");
+        if (op.kind == HeOpKind::kRotate ||
+            op.kind == HeOpKind::kConjugate)
+            ++galoisConsumers[op.a];
     }
 
     // Hoisting: a ciphertext that two or more Galois ops consume is

@@ -39,7 +39,10 @@
  *
  * Construction rejects a program that does not fit the scheme's
  * context: a ring degree other than the context's, or an op whose
- * level lies outside [1, maxLevel] (pushRaw programs included).
+ * level lies outside [1, maxLevel] (pushRaw programs included). It
+ * also rejects a malformed raw program, naming the op: a missing,
+ * out-of-range or self operand, an operand that holds no ciphertext,
+ * a plain op whose b is not an input_plain op, or a cycle.
  *
  * Liveness: the executor counts the consumers of every ciphertext
  * handle and releases each ciphertext after its last consumer

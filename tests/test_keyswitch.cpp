@@ -35,19 +35,26 @@ class KeySwitchTest : public ::testing::Test
     {
     }
 
-    /** Noise of (u0 + u1*s) - x*w, max |coefficient| in bits. */
     double
     switchError(const RnsPoly &x, const RnsPoly &w,
                 const std::pair<RnsPoly, RnsPoly> &u)
     {
+        return switchErrorBits(sk, x, w, u);
+    }
+
+    /** Noise of (u0 + u1*s) - x*w under key `key`, max |coeff| bits. */
+    static double
+    switchErrorBits(const SecretKey &key, const RnsPoly &x,
+                    const RnsPoly &w, const std::pair<RnsPoly, RnsPoly> &u)
+    {
         const size_t level = x.levels();
         RnsPoly got = u.first;
-        got += u.second.mul(sk.s.restricted(level));
+        got += u.second.mul(key.s.restricted(level));
         RnsPoly want = x.mul(w.restricted(level));
         got -= want;
         got.toCoeff();
         size_t bits = 0;
-        for (uint32_t i = 0; i < ctx.n(); ++i) {
+        for (uint32_t i = 0; i < x.n(); ++i) {
             auto [mag, neg] = got.coeffCentered(i);
             bits = std::max(bits, mag.bitLength());
         }
@@ -106,6 +113,25 @@ TEST_F(KeySwitchTest, DigitVariantSwitchesCorrectly)
     auto u = sw.apply(x, hint, 257);
     // Error must be far below Q (112 bits here).
     EXPECT_LT(switchError(x, w, u), ctx.logQ(level) - 20);
+
+    // Seventeen digits on 30-bit primes: every word sums more
+    // products than one 64-bit lane holds, so the inner product's
+    // fold runs on real data.
+    FheParams deep = params();
+    deep.maxLevel = 17;
+    deep.primeBits = 30;
+    const FheContext deepCtx(deep);
+    const KeySwitcher deepSw(&deepCtx);
+    const SecretKey deepSk = deepSw.keyGen(rng);
+    const size_t deepLevel = 17;
+    const auto deepW = deepSk.s.automorphism(5);
+    const auto deepHint = deepSw.makeHint(
+        deepW, deepSk, deepLevel, 257, KeySwitchVariant::kDigitLxL, rng);
+    const auto deepX =
+        RnsPoly::uniform(deepCtx.polyContext(), deepLevel, rng);
+    EXPECT_LT(switchErrorBits(deepSk, deepX, deepW,
+                              deepSw.apply(deepX, deepHint, 257)),
+              deepCtx.logQ(deepLevel) - 20);
 }
 
 TEST_F(KeySwitchTest, GhsVariantSwitchesCorrectly)

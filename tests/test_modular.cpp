@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for scalar modular arithmetic, the four Table-1 multiplier
- * designs, Shoup multiplication, and prime generation.
+ * designs, Shoup multiplication, the limb kernels of the modulus
+ * switches, and prime generation.
  */
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "modular/limb_kernels.h"
 #include "modular/modarith.h"
 #include "modular/multiplier.h"
 #include "modular/primes.h"
@@ -111,19 +113,38 @@ TEST(ModArith, ShoupMatchesReference)
     }
 }
 
+uint32_t
+refSigned(int64_t x, uint32_t q)
+{
+    return static_cast<uint32_t>(((x % q) + q) % q);
+}
+
+/** NTT primes of 17, 20, 28 and 30 bits: the lazy-headroom moduli. */
+std::vector<uint32_t>
+nttModuli()
+{
+    std::vector<uint32_t> qs;
+    for (uint32_t bits : {17u, 20u, 28u, 30u})
+        qs.push_back(generateNttPrimes(1, bits, 1024)[0]);
+    return qs;
+}
+
 /**
- * Barrett multiply and signed reduction against the division-based
- * references, on primes from 17 bits up to kMaxModulusBits (31) plus
- * 2^31 - 1, the largest modulus the 32-bit remainder must hold.
+ * nttModuli() plus a 31-bit prime (kMaxModulusBits) and 2^31 - 1, the
+ * largest modulus a 32-bit remainder must hold.
  */
+std::vector<uint32_t>
+reductionModuli()
+{
+    std::vector<uint32_t> qs = nttModuli();
+    qs.push_back(generateNttPrimes(1, kMaxModulusBits, 1024)[0]);
+    qs.push_back((1u << kMaxModulusBits) - 1); // 2^31 - 1, prime
+    return qs;
+}
+
+/** Barrett multiply against the division-based reference. */
 class BarrettTest : public ::testing::TestWithParam<uint32_t>
 {
-  protected:
-    static uint32_t
-    refSigned(int64_t x, uint32_t q)
-    {
-        return static_cast<uint32_t>(((x % q) + q) % q);
-    }
 };
 
 TEST_P(BarrettTest, MultiplyMatchesMulMod)
@@ -164,46 +185,160 @@ TEST_P(BarrettTest, MultiplyTakesUnreducedOperands)
     }
 }
 
-TEST_P(BarrettTest, SignedReductionMatchesRemainder)
+INSTANTIATE_TEST_SUITE_P(Widths, BarrettTest,
+                         ::testing::ValuesIn(reductionModuli()));
+
+/**
+ * WideModulus, the 64-bit reduction by two lazy Shoup multiplies, and
+ * the signed kernel built on it, against the division-based
+ * references, on NTT primes of 17 to 30 bits (WideModulus needs
+ * m < 2^30, as every PolyContext modulus is).
+ */
+class WideModulusTest : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(WideModulusTest, ReducesAnyWord)
 {
     const uint32_t q = GetParam();
-    const uint64_t mu = barrettPrecompute(q);
+    const WideModulus mod(q);
+    const uint64_t edges[] = {0,
+                              1,
+                              q - 1u,
+                              q,
+                              UINT32_MAX,
+                              uint64_t(1) << 32,
+                              (uint64_t(q - 1) << 32) | (q - 1),
+                              UINT64_MAX};
+    for (uint64_t x : edges)
+        EXPECT_EQ(mod.reduce(x), x % q) << "x=" << x << " q=" << q;
+    Rng rng(q + 3);
+    for (int it = 0; it < 100000; ++it) {
+        const uint64_t x = rng.next();
+        ASSERT_EQ(mod.reduce(x), x % q) << "x=" << x << " q=" << q;
+    }
+}
+
+TEST_P(WideModulusTest, SignedReductionMatchesRemainder)
+{
+    const uint32_t q = GetParam();
     const int64_t iq = q;
     // Centered lifts of any library residue lie in [-2^30, 2^30];
     // fromSigned also receives products d * t up to about 2^62.
     const int64_t lift = int64_t(1) << 30;
     const int64_t big = int64_t(1) << 62;
-    const int64_t edges[] = {
+    std::vector<int64_t> xs = {
         0,       1,        -1,        iq - 1,    -(iq - 1),
         iq,      -iq,      iq + 1,    -iq - 1,   iq / 2,
         -iq / 2, lift,     -lift,     big,       -big,
         big - 1, -big + 1, INT64_MAX, INT64_MIN,
     };
-    for (int64_t x : edges)
-        EXPECT_EQ(reduceSignedBarrett(x, q, mu), refSigned(x, q))
-            << "x=" << x << " q=" << q;
     Rng rng(q + 2);
     for (int it = 0; it < 100000; ++it) {
-        const int64_t c =
-            static_cast<int64_t>(rng.uniform(2 * lift + 1)) - lift;
-        ASSERT_EQ(reduceSignedBarrett(c, q, mu), refSigned(c, q))
-            << "x=" << c << " q=" << q;
-        const int64_t w =
+        xs.push_back(static_cast<int64_t>(rng.uniform(2 * lift + 1)) -
+                     lift);
+        xs.push_back(
             static_cast<int64_t>(rng.uniform(uint64_t(2) * big + 1)) -
-            big;
-        ASSERT_EQ(reduceSignedBarrett(w, q, mu), refSigned(w, q))
-            << "x=" << w << " q=" << q;
+            big);
+    }
+    // One call over every input: whole kSplit passes, vector bodies
+    // and a scalar tail.
+    std::vector<uint32_t> got(xs.size());
+    reduceSigned(xs, got, q);
+    for (size_t i = 0; i < xs.size(); ++i)
+        ASSERT_EQ(got[i], refSigned(xs[i], q)) << "x=" << xs[i] << " q=" << q;
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, WideModulusTest,
+                         ::testing::ValuesIn(nttModuli()));
+
+TEST(WideModulus, RejectsModuliWithoutLazyHeadroom)
+{
+    EXPECT_THROW(WideModulus(0), PanicError);
+    EXPECT_THROW(WideModulus(1u << kLazyModulusBits), PanicError);
+    EXPECT_THROW(WideModulus(generateNttPrimes(1, 31, 1024)[0]),
+                 PanicError);
+}
+
+TEST(LimbKernels, LiftCenteredMatchesRemainder)
+{
+    // Every ordered pair over four widths: p < m, p > m and p = m.
+    const std::vector<uint32_t> primes = nttModuli();
+    for (uint32_t p : primes) {
+        std::vector<uint32_t> src = {0, 1, p / 2, p / 2 + 1, p - 1};
+        Rng rng(p);
+        for (int it = 0; it < 10000; ++it)
+            src.push_back(static_cast<uint32_t>(rng.uniform(p)));
+        for (uint32_t m : primes) {
+            for (uint32_t w : {1u, 2u, 65537u % m, m - 1}) {
+                std::vector<uint32_t> dst(src.size());
+                liftCentered(src, p, dst, m, w);
+                for (size_t i = 0; i < src.size(); ++i) {
+                    const int64_t c = src[i] > p / 2
+                                          ? int64_t(src[i]) - p
+                                          : int64_t(src[i]);
+                    ASSERT_EQ(dst[i], refSigned(c * w, m))
+                        << "src=" << src[i] << " p=" << p << " m=" << m
+                        << " w=" << w;
+                }
+            }
+        }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Widths, BarrettTest, ::testing::ValuesIn([] {
-        std::vector<uint32_t> qs;
-        for (uint32_t bits : {17u, 20u, 28u, 30u, 31u})
-            qs.push_back(generateNttPrimes(1, bits, 1024)[0]);
-        qs.push_back((1u << kMaxModulusBits) - 1); // 2^31 - 1, prime
-        return qs;
-    }()));
+TEST(LimbKernels, LazyMacFoldsBeforeOverflow)
+{
+    // Both operands at m - 1 on the largest NTT-friendly prime below
+    // 2^30: 17 such products overflow a 64-bit lane, so a missing or
+    // late fold shows as a wrong sum.
+    const uint32_t m = generateNttPrimes(1, 30, 1024)[0];
+    ASSERT_GT(m, 1u << 29);
+    const size_t len = LazyMacBlock::kBlock;
+    const std::vector<uint32_t> top(len, m - 1);
+    std::vector<uint32_t> out0(len), out1(len);
+    for (unsigned terms : {1u, 15u, 16u, 17u, 31u, 32u}) {
+        LazyMacBlock mac(m, len);
+        uint32_t want = 0;
+        for (unsigned t = 0; t < terms; ++t) {
+            mac.add(top.data(), top.data(), top.data());
+            want = addMod(want, mulMod(m - 1, m - 1, m), m);
+        }
+        mac.finish(out0.data(), out1.data());
+        for (size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(out0[i], want) << terms << " products, word " << i;
+            ASSERT_EQ(out1[i], want) << terms << " products, word " << i;
+        }
+    }
+}
+
+TEST(LimbKernels, LazyMacMatchesMulModSums)
+{
+    // Random operands over a partial block: the two sums stay apart.
+    const uint32_t m = generateNttPrimes(1, 30, 1024)[0];
+    const size_t len = 37;
+    const size_t terms = 40;
+    Rng rng(m);
+    std::vector<std::vector<uint32_t>> x(terms), h0(terms), h1(terms);
+    std::vector<uint32_t> want0(len, 0), want1(len, 0);
+    for (size_t t = 0; t < terms; ++t) {
+        for (auto *v : {&x[t], &h0[t], &h1[t]}) {
+            v->resize(len);
+            for (auto &w : *v)
+                w = static_cast<uint32_t>(rng.uniform(m));
+        }
+        for (size_t i = 0; i < len; ++i) {
+            want0[i] = addMod(want0[i], mulMod(x[t][i], h0[t][i], m), m);
+            want1[i] = addMod(want1[i], mulMod(x[t][i], h1[t][i], m), m);
+        }
+    }
+    LazyMacBlock mac(m, len);
+    for (size_t t = 0; t < terms; ++t)
+        mac.add(x[t].data(), h0[t].data(), h1[t].data());
+    std::vector<uint32_t> out0(len), out1(len);
+    mac.finish(out0.data(), out1.data());
+    EXPECT_EQ(out0, want0);
+    EXPECT_EQ(out1, want1);
+}
 
 TEST(Primes, MillerRabinKnownValues)
 {

@@ -610,6 +610,62 @@ TEST(OpGraphExecutorTest, RejectsProgramOfAnotherRingDegree)
         << msg;
 }
 
+/**
+ * Raw programs whose operands cannot work are rejected at
+ * construction, with the op named. Without the checks a rotate of
+ * handle -1 writes out of bounds while the graph is built, a plain
+ * op with b = -1 reads out of bounds in execute, and an add with no
+ * operands is never readied, so execute waits forever; these tests
+ * construct only.
+ */
+TEST(OpGraphExecutorTest, RejectsMissingAndMistypedOperands)
+{
+    FheContext ctx(smallParams());
+    BgvScheme bgv(&ctx);
+    const auto rejects = [&](std::vector<HeOp> ops) {
+        Program p(256, 8, "raw");
+        for (const HeOp &op : ops)
+            p.pushRaw(op);
+        return fatalMessage([&] { OpGraphExecutor exec(p, &bgv); });
+    };
+    const HeOp in{HeOpKind::kInput, -1, -1, 0, 8};
+    const HeOp plain{HeOpKind::kInputPlain, -1, -1, 0, 8};
+
+    std::string msg = rejects({in, {HeOpKind::kRotate, -1, -1, 1, 8}});
+    EXPECT_NE(msg.find("op 1 (rotate) references invalid handle -1"),
+              std::string::npos)
+        << msg;
+    msg = rejects({in, {HeOpKind::kAdd, -1, -1, 0, 8}});
+    EXPECT_NE(msg.find("op 1 (add) references invalid handle -1"),
+              std::string::npos)
+        << msg;
+    msg = rejects({in, {HeOpKind::kMul, 0, -1, 0, 8}});
+    EXPECT_NE(msg.find("op 1 (mul) references invalid handle -1"),
+              std::string::npos)
+        << msg;
+
+    msg = rejects({in, plain, {HeOpKind::kMulPlain, 0, -1, 0, 8}});
+    EXPECT_NE(msg.find("op 2 (mul_plain) takes plaintext handle -1"),
+              std::string::npos)
+        << msg;
+    // b names a ciphertext input, not a plaintext.
+    msg = rejects({in, plain, {HeOpKind::kAddPlain, 0, 0, 0, 8}});
+    EXPECT_NE(msg.find("op 2 (add_plain) takes plaintext handle 0"),
+              std::string::npos)
+        << msg;
+
+    // Ciphertext operands that name a plaintext or an output.
+    msg = rejects({in, plain, {HeOpKind::kAdd, 0, 1, 0, 8}});
+    EXPECT_NE(msg.find("op 2 (add) reads handle 1 (input_plain)"),
+              std::string::npos)
+        << msg;
+    msg = rejects({in, {HeOpKind::kOutput, 0, -1, 0, 8},
+                   {HeOpKind::kModSwitch, 1, -1, 0, 7}});
+    EXPECT_NE(msg.find("op 2 (mod_switch) reads handle 1 (output)"),
+              std::string::npos)
+        << msg;
+}
+
 TEST(OpGraphExecutorTest, OpThrowingMidWalkStopsEveryWorker)
 {
     FheContext ctx(smallParams());
